@@ -110,10 +110,12 @@ func BenchmarkFigure4(b *testing.B) {
 
 // BenchmarkDensitySweep runs the high-density serverless extension at a
 // small grid. With -benchmem it pins the scenario's allocation footprint,
-// which is dominated by the stats backend: the default sketch holds every
-// latency stream in a fixed histogram, so b/op stays flat as tenant counts
-// grow, where the exact backend's retained samples scale linearly (compare
-// with sc.ExactStats = true).
+// which is per-tenant work: syscall op lists (OpList.Crit/Compute) and
+// kernel construction, a few KB per tenant kernel since locks are created
+// on first use. The stats backend adds little: the default sketch holds
+// every latency stream in a fixed histogram, so its share stays flat as
+// tenant counts grow, where the exact backend's retained samples scale
+// linearly (compare with sc.ExactStats = true).
 func BenchmarkDensitySweep(b *testing.B) {
 	sc := ksa.QuickScale()
 	sc.DensityTenants = []int{400}

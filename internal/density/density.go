@@ -45,16 +45,6 @@ func (s Surface) String() string {
 	return fmt.Sprintf("surface(%d)", uint8(s))
 }
 
-// SurfaceByName is the inverse of String.
-func SurfaceByName(name string) (Surface, error) {
-	for _, s := range Surfaces {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("density: unknown surface %q", name)
-}
-
 // Boot and teardown costs per surface: containers fork into a warm shared
 // kernel; KVM pays full guest-kernel construction plus device attach;
 // a specialized kernel boots an order of magnitude faster than KVM (tiny
@@ -143,7 +133,7 @@ func coldStartProgram(tab *syscalls.Table) *corpus.Program {
 	return &corpus.Program{Calls: []corpus.Call{
 		call("fork"),
 		call("execve", corpus.Const(7)),
-		call("brk", corpus.Const(1 << 22)),
+		call("brk", corpus.Const(1<<22)),
 		call("mmap", corpus.Const(0), corpus.Const(1<<21)),
 		call("mprotect", corpus.Const(0), corpus.Const(1<<16)),
 		call("prctl", corpus.Const(3)), // sandbox setup (no_new_privs/seccomp-style)

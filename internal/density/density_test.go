@@ -12,18 +12,6 @@ func smallOpts(s Surface) Options {
 	return Options{Surface: s, Tenants: 200, RequestsPerTenant: 2, Seed: 42}
 }
 
-func TestSurfaceNames(t *testing.T) {
-	for _, s := range Surfaces {
-		got, err := SurfaceByName(s.String())
-		if err != nil || got != s {
-			t.Fatalf("SurfaceByName(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := SurfaceByName("bare-metal"); err == nil {
-		t.Fatal("unknown surface accepted")
-	}
-}
-
 func TestRunCompletesAllTenants(t *testing.T) {
 	for _, s := range Surfaces {
 		s := s

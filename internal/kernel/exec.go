@@ -41,7 +41,7 @@ func (k *Kernel) step(c *core, t *Task) {
 			k.stats.OutOfProfileLocks++
 		}
 		t.lockStack = append(t.lockStack, op.Lock)
-		l := &k.locks[op.Lock]
+		l := k.Lock(op.Lock)
 		reqAt := k.eng.Now()
 		var waiters int
 		if k.tracer != nil {
@@ -104,7 +104,7 @@ func (k *Kernel) step(c *core, t *Task) {
 			}
 			t.lockAcqAt = t.lockAcqAt[:last]
 		}
-		k.locks[op.Lock].Release()
+		k.Lock(op.Lock).Release()
 		k.step(c, t)
 
 	case OpRLock:

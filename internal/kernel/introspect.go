@@ -25,6 +25,20 @@ func (l LockStats) ContentionRate() float64 {
 	return float64(l.Contended) / float64(l.Acquires)
 }
 
+// LockStats reads lock id's contention counters without creating it: a
+// lock never used reads as zero.
+func (k *Kernel) LockStats(id LockID) LockStats {
+	return lockStats(TraceLockName(id), k.locks[id])
+}
+
+func lockStats(name string, l *sim.Lock) LockStats {
+	s := LockStats{Name: name}
+	if l != nil {
+		s.Acquires, s.Contended, s.MaxQueue, s.TotalWait = l.Acquires(), l.Contended(), l.MaxQueue(), l.TotalWait()
+	}
+	return s
+}
+
 // lockNames maps the named (non-sharded) locks to human-readable labels.
 var lockNames = map[LockID]string{
 	LockTasklist:    "tasklist",
@@ -101,24 +115,17 @@ type ContentionReport struct {
 func (k *Kernel) Contention() ContentionReport {
 	var rep ContentionReport
 	rep.Kernel = k.cfg.Name
-	for id, name := range lockNames {
-		l := &k.locks[id]
-		rep.Locks = append(rep.Locks, LockStats{
-			Name: name, Acquires: l.Acquires(), Contended: l.Contended(),
-			MaxQueue: l.MaxQueue(), TotalWait: l.TotalWait(),
-		})
+	for id := range lockNames {
+		rep.Locks = append(rep.Locks, k.LockStats(id))
 	}
 	for _, fam := range shardFamilies {
-		var agg LockStats
-		agg.Name = fam.name
+		agg := LockStats{Name: fam.name}
 		for i := 0; i < fam.count; i++ {
-			l := &k.locks[fam.base+LockID(i)]
-			agg.Acquires += l.Acquires()
-			agg.Contended += l.Contended()
-			agg.TotalWait += l.TotalWait()
-			if l.MaxQueue() > agg.MaxQueue {
-				agg.MaxQueue = l.MaxQueue()
-			}
+			l := k.LockStats(fam.base + LockID(i))
+			agg.Acquires += l.Acquires
+			agg.Contended += l.Contended
+			agg.TotalWait += l.TotalWait
+			agg.MaxQueue = max(agg.MaxQueue, l.MaxQueue)
 		}
 		rep.Locks = append(rep.Locks, agg)
 	}
@@ -128,11 +135,7 @@ func (k *Kernel) Contention() ContentionReport {
 		}
 		return rep.Locks[i].Name < rep.Locks[j].Name
 	})
-	rep.IPIBus = LockStats{
-		Name: "ipi-bus", Acquires: k.ipiBus.Acquires(),
-		Contended: k.ipiBus.Contended(), MaxQueue: k.ipiBus.MaxQueue(),
-		TotalWait: k.ipiBus.TotalWait(),
-	}
+	rep.IPIBus = lockStats("ipi-bus", k.ipiBus)
 	rep.Device.Name = k.blockDev.Name()
 	rep.Device.Acquires = k.blockDev.Acquires()
 	rep.Device.Contended = k.blockDev.Contended()

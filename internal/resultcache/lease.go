@@ -1,8 +1,10 @@
 // Work leases: advisory claim sentinels that let many processes shard one
 // grid of cache misses without re-simulating each other's cells.
 //
-// A lease is a tiny sentinel file next to the entry it guards, created
-// atomically (O_CREATE|O_EXCL), naming its owner and an expiry deadline.
+// A lease is a tiny sentinel file next to the entry it guards, naming its
+// owner and an expiry deadline. It is created atomically and never visible
+// half-written: the body goes to a temp file that is hard-linked into
+// place, and the link fails if a sentinel already exists.
 // Claimants that find a live lease back off; claimants that find an
 // expired one steal it by atomically renaming a replacement over it —
 // TTL-based reclamation, so a SIGKILLed worker's in-flight cell becomes
@@ -95,10 +97,16 @@ func (s *Store) tryClaimAt(k Key, owner string, ttl time.Duration, now time.Time
 		return true, mine
 	}
 	for attempt := 0; ; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		// Publish by hard-linking a fully written temp file into place:
+		// link fails with EEXIST when a sentinel is present, and a claimant
+		// never sees an empty sentinel (which would parse as expired and be
+		// stolen from a live fresh claim).
+		tmp, err := stageLease(path, mine)
 		if err == nil {
-			f.Write(encodeLease(mine)) //nolint:errcheck // a torn sentinel parses as expired and is stolen
-			f.Close()                  //nolint:errcheck
+			err = os.Link(tmp, path)
+			os.Remove(tmp)
+		}
+		if err == nil {
 			return true, mine
 		}
 		if !os.IsExist(err) {
@@ -121,28 +129,29 @@ func (s *Store) tryClaimAt(k Key, owner string, ttl time.Duration, now time.Time
 		// is atomic, so concurrent stealers leave one well-formed winner
 		// (and the losers merely duplicate work, which determinism makes
 		// harmless). A failed replacement still claims — advisory either way.
-		s.writeLease(path, mine)
+		if tmp, err := stageLease(path, mine); err == nil && os.Rename(tmp, path) != nil {
+			os.Remove(tmp)
+		}
 		return true, mine
 	}
 }
 
-// writeLease atomically replaces the sentinel at path.
-func (s *Store) writeLease(path string, l LeaseInfo) bool {
+// stageLease writes l's sentinel body to a temp file beside path and
+// returns the temp file's name.
+func stageLease(path string, l LeaseInfo) (string, error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-lease-*")
 	if err != nil {
-		return false
+		return "", err
 	}
 	_, werr := tmp.Write(encodeLease(l))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return false
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if werr != nil {
 		os.Remove(tmp.Name())
-		return false
+		return "", werr
 	}
-	return true
+	return tmp.Name(), nil
 }
 
 // ReleaseClaim removes k's lease if owner still holds it. Releasing a

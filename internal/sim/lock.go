@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Lock is an exclusive FIFO lock resource (ticket-lock semantics): waiters
 // are granted the lock in arrival order. Arrival order at the same virtual
 // time is the event-schedule order, which the engine makes deterministic.
@@ -11,53 +9,28 @@ import "fmt"
 // hold times, including preemption of the holder by housekeeping noise, and
 // calls Release when the modeled critical section ends).
 type Lock struct {
-	eng  *Engine
-	name string
-	// Slab-constructed locks derive their name lazily from prefix+idx on
-	// first request: kernels allocate hundreds of locks apiece and are
-	// themselves mass-constructed (one per sweep cell, one per coverage
-	// evaluation), while almost no lock's name is ever asked for.
-	prefix string
-	idx    int
-
+	eng     *Engine
+	name    string
 	held    bool
-	waiters []func()
+	waiters []waiter
 
 	// Contention counters, used by tests and by kernel introspection.
-	acquires   uint64
-	contended  uint64
-	maxQueue   int
-	totalWait  Time
-	waitStamps []Time // arrival times of current waiters, parallel to waiters
+	acquires  uint64
+	contended uint64
+	maxQueue  int
+	totalWait Time
+}
+
+// waiter is one queued grant callback and the time it arrived.
+type waiter struct {
+	fn func()
+	at Time
 }
 
 // NewLock returns an unheld lock attached to eng. The name is used only for
 // diagnostics.
 func NewLock(eng *Engine, name string) *Lock {
 	return &Lock{eng: eng, name: name}
-}
-
-// NewLockSlab returns n unheld locks backed by a single allocation, named
-// "<prefix>/lock<i>" (materialized lazily). Use it when constructing lock
-// families in bulk; the locks must be addressed in place (&slab[i]) — the
-// slab must not be copied or grown.
-func NewLockSlab(eng *Engine, prefix string, n int) []Lock {
-	locks := make([]Lock, n)
-	for i := range locks {
-		locks[i].eng = eng
-		locks[i].prefix = prefix
-		locks[i].idx = i
-	}
-	return locks
-}
-
-// Name returns the diagnostic name given at construction, deriving it on
-// first use for slab-constructed locks.
-func (l *Lock) Name() string {
-	if l.name == "" && l.prefix != "" {
-		l.name = fmt.Sprintf("%s/lock%d", l.prefix, l.idx)
-	}
-	return l.name
 }
 
 // Held reports whether the lock is currently owned.
@@ -89,21 +62,10 @@ func (l *Lock) Acquire(granted func()) {
 		return
 	}
 	l.contended++
-	l.waiters = append(l.waiters, granted)
-	l.waitStamps = append(l.waitStamps, l.eng.Now())
+	l.waiters = append(l.waiters, waiter{granted, l.eng.Now()})
 	if len(l.waiters) > l.maxQueue {
 		l.maxQueue = len(l.waiters)
 	}
-}
-
-// TryAcquire acquires the lock if free and reports whether it did.
-func (l *Lock) TryAcquire() bool {
-	if l.held {
-		return false
-	}
-	l.held = true
-	l.acquires++
-	return true
 }
 
 // Release hands the lock to the oldest waiter, or frees it. The next grant
@@ -119,12 +81,6 @@ func (l *Lock) Release() {
 	}
 	next := l.waiters[0]
 	l.waiters = l.waiters[1:]
-	l.totalWait += l.eng.Now() - l.waitStamps[0]
-	l.waitStamps = l.waitStamps[1:]
-	next()
-}
-
-// ResetStats zeroes the contention counters (queue state is untouched).
-func (l *Lock) ResetStats() {
-	l.acquires, l.contended, l.maxQueue, l.totalWait = 0, 0, 0, 0
+	l.totalWait += l.eng.Now() - next.at
+	next.fn()
 }
