@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	ksaexp [-exp table1,table2,fig2,table3,fig3,fig4|all] [-scale default|quick]
+//	ksaexp [-exp name,...|all] [-scale default|quick]
 //	       [-seed N] [-parallel N] [-cache dir|off] [-cache-verify]
 //	       [-trace] [-fault name|list] [-remote url]
 //	ksaexp -exp sweep [-envs list] [-trials N] [-workers N] [-worker-urls list]
@@ -11,7 +11,10 @@
 //	ksaexp -exp specialize [-strict-profile] [-scale ...] [-cache dir]
 //	ksaexp -exp isolation [-scale ...] [-csv dir]
 //
-// Every experiment reports wall time, simulated events, and the peak heap
+// The experiments are the library's experiment table (ksaexp -h lists it):
+// "all" selects the paper's tables and figures, the extensions run when
+// named, and a selection always runs in table order. Every experiment
+// reports wall time, simulated events, and the peak heap
 // high-water observed while it ran; -exact-stats swaps the bounded-memory
 // quantile sketch for exact retained samples (the oracle backend), which is
 // visible in that peak-heap line at density scale.
@@ -46,7 +49,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -56,7 +61,7 @@ import (
 )
 
 func main() {
-	exps := flag.String("exp", "all", "comma-separated: table1,table2,fig2,table3,fig3,fig4,lightvm,ablation,blame,interference,density,specialize,isolation or all (lightvm/ablation/blame/interference/density/specialize/isolation are extensions, not in 'all')")
+	exps := flag.String("exp", "all", expUsage())
 	scaleName := flag.String("scale", "default", "experiment scale: default or quick")
 	seed := flag.Uint64("seed", 0, "override the scale's seed (unset = keep)")
 	parallel := flag.Int("parallel", 0, "worker threads for independent simulations (0 = GOMAXPROCS); results are bit-identical for any value")
@@ -141,24 +146,22 @@ func main() {
 		sc.RequestsPerTenant = *requests
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(e)] = true
+	sel, err := selectExperiments(*exps, *traceOn)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ksaexp:", err)
+		os.Exit(2)
 	}
-	if *traceOn {
-		want["blame"] = true
+	if _, ok := ksa.FaultPreset(*faultName); !ok && slices.ContainsFunc(sel.exps,
+		func(e ksa.Experiment) bool { return e.Name == "interference" }) {
+		fmt.Fprintf(os.Stderr, "ksaexp: unknown -fault %q (try -fault list)\n", *faultName)
+		os.Exit(2)
 	}
-	all := want["all"]
 
 	if *remote != "" {
-		runRemote(*remote, want, all, *scaleName, *seed, *faultName, *csvDir, *cacheDir, *cacheVerify)
+		runRemote(*remote, sel, *scaleName, *seed, *faultName, *csvDir, *cacheDir, *cacheVerify)
 		return
 	}
-	if want["sweep"] {
-		if len(want) > 1 {
-			fmt.Fprintln(os.Stderr, "ksaexp: -exp sweep runs alone (it has its own grid flags)")
-			os.Exit(2)
-		}
+	if sel.sweep {
 		fname := *faultName
 		if !flagWasSet("fault") {
 			fname = "" // distributed sweeps default to clean runs
@@ -171,141 +174,142 @@ func main() {
 			*workerURLs, *workers, *workerBin, *cacheDir)
 		return
 	}
-	ran := 0
-	run := func(name string, fn func()) {
-		if !all && !want[name] {
-			return
-		}
-		ran++
+
+	for _, e := range sel.local() {
 		t0 := time.Now()
 		ev0 := ksa.EventsExecuted()
 		var c0 ksa.CacheStats
 		if cache != nil {
 			c0 = cache.Stats()
 		}
-		peak := peakHeap(fn)
+		peak := peakHeap(func() {
+			res, err := e.Run(context.Background(), sc, *faultName)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "ksaexp: %s: %v\n", e.Name, err)
+				os.Exit(1)
+			}
+			fmt.Println(res.Render())
+			if r, ok := res.(interface{ CSV() string }); ok && *csvDir != "" {
+				writeCSV(*csvDir, e.Name, r.CSV())
+			}
+			if r, ok := res.(ksa.SpecializeResult); ok && *strictProfile && r.MeasuredFaults > 0 {
+				fmt.Fprintf(os.Stderr, "ksaexp: -strict-profile: %d in-profile call(s) faulted on the specialized kernel\n",
+					r.MeasuredFaults)
+				os.Exit(1)
+			}
+		})
 		wall := time.Since(t0)
 		ev := ksa.EventsExecuted() - ev0
 		if ev > 0 && wall > 0 {
 			fmt.Printf("[%s finished in %v — %.2fM events, %.2fM events/sec, peak heap %.1f MiB]\n",
-				name, wall.Round(time.Millisecond),
+				e.Name, wall.Round(time.Millisecond),
 				float64(ev)/1e6, float64(ev)/wall.Seconds()/1e6, float64(peak)/(1<<20))
 		} else {
 			fmt.Printf("[%s finished in %v — peak heap %.1f MiB]\n",
-				name, wall.Round(time.Millisecond), float64(peak)/(1<<20))
+				e.Name, wall.Round(time.Millisecond), float64(peak)/(1<<20))
 		}
 		if cache != nil {
 			if d := cache.Stats().Sub(c0); d.Lookups() > 0 {
-				fmt.Printf("[%s cache: %s]\n", name, d)
+				fmt.Printf("[%s cache: %s]\n", e.Name, d)
 			}
 		}
 		fmt.Println()
 	}
+}
 
-	run("table1", func() { fmt.Println(ksa.VMConfigTable().String()) })
-	run("table2", func() { fmt.Println(ksa.RunTable2(sc).Render()) })
-	writeCSV := func(name string, emit func(*os.File) error) {
-		if *csvDir == "" {
-			return
-		}
-		path := *csvDir + "/" + name + ".csv"
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ksaexp:", err)
-			return
-		}
-		defer f.Close()
-		if err := emit(f); err != nil {
-			fmt.Fprintln(os.Stderr, "ksaexp:", err)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "ksaexp: wrote %s\n", path)
-	}
-	run("fig2", func() {
-		res := ksa.RunFigure2(sc)
-		fmt.Println(res.Render())
-		writeCSV("fig2", func(f *os.File) error { return res.WriteCSV(f) })
-	})
-	run("table3", func() { fmt.Println(ksa.RunTable3(sc).Render()) })
-	run("fig3", func() {
-		res := ksa.RunFigure3(sc)
-		fmt.Println(res.Render())
-		writeCSV("fig3", func(f *os.File) error { return res.WriteCSV(f) })
-	})
-	run("fig4", func() {
-		res := ksa.RunFigure4(sc)
-		fmt.Println(res.Render())
-		writeCSV("fig4", func(f *os.File) error { return res.WriteCSV(f) })
-	})
-	// Extensions beyond the paper (opt-in; not part of "all").
-	if want["lightvm"] {
-		run("lightvm", func() { fmt.Println(ksa.RunLightVMExtension(sc).Render()) })
-	}
-	if want["ablation"] {
-		run("ablation", func() { fmt.Println(ksa.RunAblation(sc).Render()) })
-	}
-	if want["blame"] {
-		run("blame", func() {
-			res := ksa.RunBlame(sc, ksa.KindNative, 0, 0)
-			fmt.Println(res.Render())
-			writeCSV("blame", func(f *os.File) error { return res.WriteCSV(f) })
-		})
-	}
-	if want["density"] {
-		run("density", func() {
-			res := ksa.RunDensity(sc)
-			fmt.Println(res.Render())
-			writeCSV("density", func(f *os.File) error {
-				_, err := f.WriteString(res.CSV())
-				return err
-			})
-		})
-	}
-	if want["specialize"] {
-		run("specialize", func() {
-			res := ksa.RunSpecialize(sc)
-			fmt.Println(res.Render())
-			writeCSV("specialize", func(f *os.File) error {
-				_, err := f.WriteString(res.CSV())
-				return err
-			})
-			if *strictProfile && res.MeasuredFaults > 0 {
-				fmt.Fprintf(os.Stderr, "ksaexp: -strict-profile: %d in-profile call(s) faulted on the specialized kernel\n",
-					res.MeasuredFaults)
-				os.Exit(1)
-			}
-		})
-	}
-	if want["isolation"] {
-		run("isolation", func() {
-			res := ksa.RunIsolation(sc)
-			fmt.Println(res.Render())
-			writeCSV("isolation", func(f *os.File) error {
-				_, err := f.WriteString(res.CSV())
-				return err
-			})
-		})
-	}
-	if want["interference"] {
-		run("interference", func() {
-			plan, ok := ksa.FaultPreset(*faultName)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "ksaexp: unknown -fault %q (try -fault list)\n", *faultName)
-				os.Exit(2)
-			}
-			res := ksa.RunInterference(sc, plan)
-			fmt.Println(res.Render())
-			writeCSV("interference", func(f *os.File) error {
-				_, err := f.WriteString(res.CSV())
-				return err
-			})
-		})
-	}
+// selection is what -exp and -trace ask for.
+type selection struct {
+	exps  []ksa.Experiment // entries of the experiment table, in table order
+	blame bool             // the CLI-only traced run, after the table entries
+	sweep bool             // the distributed sweep, which runs alone
+}
 
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "ksaexp: nothing selected by -exp %q\n", *exps)
-		os.Exit(2)
+// local is the local run list: the table entries, then blame.
+func (s selection) local() []ksa.Experiment {
+	if !s.blame {
+		return s.exps
 	}
+	return append(slices.Clone(s.exps), ksa.Experiment{Name: "blame",
+		Run: func(_ context.Context, sc ksa.Scale, _ string) (ksa.ExperimentResult, error) {
+			return ksa.RunBlame(sc, ksa.KindNative, 0, 0), nil
+		}})
+}
+
+// remote is the -remote submission list: one experiment job per table
+// entry, in the same order the local run uses.
+func (s selection) remote(scaleName string, seed uint64, faultName string) []ksa.JobSpec {
+	specs := make([]ksa.JobSpec, len(s.exps))
+	for i, e := range s.exps {
+		specs[i] = ksa.JobSpec{Type: "experiment", Exp: e.Name, Scale: scaleName, Seed: seed}
+		if e.Name == "interference" {
+			specs[i].Fault = faultName
+		}
+	}
+	return specs
+}
+
+// selectExperiments resolves an -exp list. "all" selects the table's
+// paper set; extensions join only when named. The local and the -remote
+// path both run the result, so they run the same experiments in the same
+// (table) order whatever order the list gives. A name that is neither in
+// the table nor all, blame or sweep is an error.
+func selectExperiments(list string, trace bool) (selection, error) {
+	table := ksa.Experiments()
+	known := map[string]bool{"all": true, "blame": true, "sweep": true}
+	var names []string
+	for _, e := range table {
+		known[e.Name] = true
+		names = append(names, e.Name)
+	}
+	want := map[string]bool{"blame": trace}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name != "" && !known[name] {
+			return selection{}, fmt.Errorf("unknown experiment %q in -exp (want all, blame, sweep or one of %s)",
+				name, strings.Join(names, ", "))
+		}
+		want[name] = true
+	}
+	sel := selection{blame: want["blame"], sweep: want["sweep"]}
+	for _, e := range table {
+		if want[e.Name] || (want["all"] && e.InAll) {
+			sel.exps = append(sel.exps, e)
+		}
+	}
+	switch {
+	case sel.sweep && (sel.blame || len(sel.exps) > 0):
+		return selection{}, fmt.Errorf("-exp sweep runs alone (it has its own grid flags)")
+	case !sel.sweep && !sel.blame && len(sel.exps) == 0:
+		return selection{}, fmt.Errorf("nothing selected by -exp %q", list)
+	}
+	return sel, nil
+}
+
+// expUsage is the -exp help text: the experiment table, then the CLI-only
+// runs.
+func expUsage() string {
+	var sb strings.Builder
+	sb.WriteString("comma-separated experiments; all selects the paper's study (marked *)")
+	for _, e := range ksa.Experiments() {
+		mark := " "
+		if e.InAll {
+			mark = "*"
+		}
+		fmt.Fprintf(&sb, "\n%s %-12s %s", mark, e.Name, e.Desc)
+	}
+	sb.WriteString("\n  blame        traced native run blaming each outlier on a kernel structure (or -trace; local only)")
+	sb.WriteString("\n  sweep        distributed environment × trial sweep (runs alone; see -envs, -trials, -workers)")
+	return sb.String()
+}
+
+// writeCSV writes an experiment's CSV series into dir as <name>.csv.
+func writeCSV(dir, name, csv string) {
+	path := filepath.Join(dir, name+".csv")
+	if err := os.WriteFile(path, []byte(csv), 0o666); err != nil {
+		fmt.Fprintln(os.Stderr, "ksaexp:", err)
+		return
+	}
+	fmt.Fprintf(os.Stderr, "ksaexp: wrote %s\n", path)
 }
 
 // peakHeap runs fn while sampling the runtime heap in the background and
@@ -358,44 +362,31 @@ func flagWasSet(name string) bool {
 // runRemote submits the selected experiments as jobs to a ksad daemon,
 // follows each job's event stream, and prints the rendered output — which
 // is byte-identical to what the same flags would produce locally.
-func runRemote(base string, want map[string]bool, all bool, scaleName string,
+func runRemote(base string, sel selection, scaleName string,
 	seed uint64, faultName, csvDir, cacheDir string, cacheVerify bool) {
 	if csvDir != "" || cacheDir != "" || cacheVerify {
 		fmt.Fprintln(os.Stderr, "ksaexp: -csv/-cache/-cache-verify are local-only; the daemon owns its cache (start ksad with -cache)")
 		os.Exit(2)
 	}
-	if want["blame"] {
+	if sel.blame {
 		fmt.Fprintln(os.Stderr, "ksaexp: blame is local-only (live tracers do not serialize); run it without -remote")
 		os.Exit(2)
 	}
-	// "all" matches the local meaning: the paper set, extensions opt-in.
-	paper := map[string]bool{"table1": true, "table2": true, "fig2": true,
-		"table3": true, "fig3": true, "fig4": true}
-	var names []string
-	for _, name := range ksa.ExperimentNames() {
-		if want[name] || (all && paper[name]) {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
+	if len(sel.exps) == 0 {
 		fmt.Fprintln(os.Stderr, "ksaexp: nothing selected to run remotely")
 		os.Exit(2)
 	}
 
 	ctx := context.Background()
 	cl := &ksa.DaemonClient{Base: base}
-	for _, name := range names {
-		spec := ksa.JobSpec{Type: "experiment", Exp: name, Scale: scaleName, Seed: seed}
-		if name == "interference" {
-			spec.Fault = faultName
-		}
+	for _, spec := range sel.remote(scaleName, seed, faultName) {
 		t0 := time.Now()
 		info, err := cl.Submit(ctx, spec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ksaexp:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "ksaexp: %s submitted as %s\n", name, info.ID)
+		fmt.Fprintf(os.Stderr, "ksaexp: %s submitted as %s\n", spec.Exp, info.ID)
 		info, err = cl.Wait(ctx, info.ID, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ksaexp:", err)
@@ -406,6 +397,6 @@ func runRemote(base string, want map[string]bool, all bool, scaleName string,
 			os.Exit(1)
 		}
 		fmt.Println(info.Result.Rendered)
-		fmt.Printf("[%s finished in %v via %s]\n\n", name, time.Since(t0).Round(time.Millisecond), base)
+		fmt.Printf("[%s finished in %v via %s]\n\n", spec.Exp, time.Since(t0).Round(time.Millisecond), base)
 	}
 }

@@ -74,10 +74,7 @@ func main() {
 
 	res := ksa.RunBlame(sc, kind, *units, ksa.Time(threshold.Nanoseconds()))
 	if *csv {
-		if err := res.WriteCSV(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "ksatrace:", err)
-			os.Exit(1)
-		}
+		fmt.Print(res.CSV())
 		return
 	}
 	fmt.Printf("Blame report: %s\n\n", res.Env)

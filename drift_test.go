@@ -8,57 +8,39 @@ import (
 	"ksa"
 )
 
-// The experiment registry has four user-facing mirrors that cannot be
-// checked by the compiler: the ksaexp -exp usage string, the daemon's
-// JobSpec validator, the JobSpec doc comment, and the README's experiment
-// listings. This guard fails when a new experiment lands in
-// core.ExperimentNames without the mirrors — the drift that silently makes
-// an experiment unreachable from one surface.
+// ksaexp's -exp usage and selection, and the daemon's JobSpec validator,
+// all derive from the experiment table (ksa.Experiments), so the compiler
+// keeps them in step. Two mirrors it cannot check remain: the README's
+// experiment listings, and the validator accepting exactly the table's
+// names. This guard fails when either drifts from the table.
 func TestExperimentSurfacesStayInSync(t *testing.T) {
-	names := ksa.ExperimentNames()
-	if len(names) == 0 {
+	exps := ksa.Experiments()
+	if len(exps) == 0 {
 		t.Fatal("no experiments registered")
 	}
 
 	// Root-package tests run with the repo root as cwd.
-	mainSrc, err := os.ReadFile("cmd/ksaexp/main.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobSrc, err := os.ReadFile("internal/daemon/job.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, name := range names {
-		// Every registered experiment is offered by the CLI's -exp flag.
-		if !strings.Contains(string(mainSrc), name) {
-			t.Errorf("experiment %q missing from cmd/ksaexp/main.go (add it to the -exp usage and dispatch)", name)
+	for _, e := range exps {
+		if !strings.Contains(string(readme), e.Name) {
+			t.Errorf("experiment %q missing from README.md", e.Name)
 		}
-		// And documented on the wire spec.
-		if !strings.Contains(string(jobSrc), name) {
-			t.Errorf("experiment %q missing from internal/daemon/job.go's JobSpec doc", name)
-		}
-		// And mentioned in the README (the experiment tour and the daemon
-		// job-type listing).
-		if !strings.Contains(string(readme), name) {
-			t.Errorf("experiment %q missing from README.md", name)
-		}
-		// And accepted by the daemon's validator.
-		spec := ksa.JobSpec{Type: "experiment", Exp: name}
+		spec := ksa.JobSpec{Type: "experiment", Exp: e.Name}
 		if err := spec.Validate(); err != nil {
-			t.Errorf("daemon rejects experiment %q: %v", name, err)
+			t.Errorf("daemon rejects experiment %q: %v", e.Name, err)
 		}
 	}
 
-	// The validator must still reject what the registry doesn't list.
-	bogus := ksa.JobSpec{Type: "experiment", Exp: "no-such-experiment"}
-	if err := bogus.Validate(); err == nil {
-		t.Error("daemon accepted an unregistered experiment")
+	// The validator must reject what the table doesn't list — including
+	// the CLI-only runs.
+	for _, name := range []string{"", "no-such-experiment", "all", "blame", "sweep"} {
+		spec := ksa.JobSpec{Type: "experiment", Exp: name}
+		if err := spec.Validate(); err == nil {
+			t.Errorf("daemon accepted experiment %q, which is not in the table", name)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"ksa/internal/platform"
@@ -53,9 +52,11 @@ func (r BlameResult) Render() string {
 	return sb.String()
 }
 
-// WriteCSV emits one row per (outlier, blame part).
-func (r BlameResult) WriteCSV(w io.Writer) error {
-	return trace.WriteBlameCSV(w, r.Env, r.Res.BlameRecords())
+// CSV renders one row per (outlier, blame part).
+func (r BlameResult) CSV() string {
+	var sb strings.Builder
+	_ = trace.WriteBlameCSV(&sb, r.Env, r.Res.BlameRecords()) // a strings.Builder never fails
+	return sb.String()
 }
 
 // RenderBlame formats a traced varbench result's blame report: tracer

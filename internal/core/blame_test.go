@@ -77,11 +77,7 @@ func TestRunBlameDeterministic(t *testing.T) {
 // The CSV export carries one row per (record, part) and is parseable.
 func TestBlameCSV(t *testing.T) {
 	res := RunBlame(QuickScale(), platform.KindNative, 0, 0)
-	var sb strings.Builder
-	if err := res.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(res.CSV()), "\n")
 	if len(lines) < 2 {
 		t.Fatal("CSV has no data rows")
 	}

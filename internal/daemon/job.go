@@ -23,9 +23,8 @@ type JobSpec struct {
 	// grid), "interference" (the fault-plan ablation), or "experiment"
 	// (one named paper table/figure).
 	Type string `json:"type"`
-	// Exp names the paper experiment for Type "experiment" (table1,
-	// table2, fig2, table3, fig3, fig4, lightvm, ablation, interference,
-	// density, specialize, isolation).
+	// Exp names the experiment for Type "experiment": an entry of the
+	// experiment table (core.ExperimentNames).
 	Exp string `json:"exp,omitempty"`
 	// Scale is "quick" or "default" (the default).
 	Scale string `json:"scale,omitempty"`
@@ -78,15 +77,7 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("interference jobs take no envs (the ablation grid is fixed)")
 		}
 	case TypeExperiment:
-		if s.Exp == "" {
-			return fmt.Errorf("experiment jobs need exp (one of %s)",
-				strings.Join(core.ExperimentNames(), ", "))
-		}
-		found := false
-		for _, n := range core.ExperimentNames() {
-			found = found || n == s.Exp
-		}
-		if !found {
+		if _, ok := core.LookupExperiment(s.Exp); !ok {
 			return fmt.Errorf("unknown experiment %q (want one of %s)",
 				s.Exp, strings.Join(core.ExperimentNames(), ", "))
 		}

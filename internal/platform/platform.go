@@ -171,17 +171,11 @@ func Containers(eng *sim.Engine, m Machine, n int, src *rng.Source) *Environment
 	if n <= 0 {
 		panic("platform: container count must be positive")
 	}
-	par := kernel.DefaultParams(m.Cores, m.MemGB)
-	// Each container's cgroup scanning densifies housekeeping and extends
-	// the worst bursts slightly.
-	par.NoiseMeanGap = sim.Time(float64(par.NoiseMeanGap) / (1 + 0.012*float64(n)))
-	par.NoiseMaxBurst = sim.Time(float64(par.NoiseMaxBurst) * (1 + 0.004*float64(n)))
-	par.EntryOverhead = 40 * sim.Nanosecond
 	k := kernel.New(eng, kernel.Config{
 		Name:   fmt.Sprintf("docker-%d", n),
 		Cores:  m.Cores,
 		MemGB:  m.MemGB,
-		Params: par,
+		Params: ContainerParams(m, n),
 	}, src.Split(uint64(n)+0x444f434b))
 	e := &Environment{
 		Name:    fmt.Sprintf("docker-%dx%d", n, m.Cores/max(n, 1)),
@@ -194,6 +188,18 @@ func Containers(eng *sim.Engine, m Machine, n int, src *rng.Source) *Environment
 		e.cores = append(e.cores, CoreRef{Kernel: k, Core: c})
 	}
 	return e
+}
+
+// ContainerParams is the shared kernel's tuning under n live containers:
+// each container's cgroup scanning densifies housekeeping and extends the
+// worst bursts slightly, and namespace/cgroup indirection adds to every
+// kernel entry.
+func ContainerParams(m Machine, n int) kernel.Params {
+	par := kernel.DefaultParams(m.Cores, m.MemGB)
+	par.NoiseMeanGap = sim.Time(float64(par.NoiseMeanGap) / (1 + 0.012*float64(n)))
+	par.NoiseMaxBurst = sim.Time(float64(par.NoiseMaxBurst) * (1 + 0.004*float64(n)))
+	par.EntryOverhead = 40 * sim.Nanosecond
+	return par
 }
 
 // VMConfig is one row of Table 1.

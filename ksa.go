@@ -93,6 +93,11 @@ type (
 	CauseTotal = trace.CauseTotal
 	// BlameResult is a traced varbench run (RunBlame).
 	BlameResult = core.BlameResult
+	// Experiment is one entry of the experiment table (Experiments).
+	Experiment = core.Experiment
+	// ExperimentResult is a finished experiment's output; results with a
+	// series also have a CSV() string method.
+	ExperimentResult = core.Result
 	// EnvSpec names one environment of a sweep ("native", "kvm-8", ...).
 	EnvSpec = core.EnvSpec
 	// SweepOptions configures RunSweep's environment × trial grid.
@@ -269,7 +274,8 @@ func DefaultScale() Scale { return core.DefaultScale() }
 // QuickScale returns the test/smoke experiment scale.
 func QuickScale() Scale { return core.QuickScale() }
 
-// Experiment runners: each regenerates one of the paper's tables/figures.
+// Typed experiment runners for the paper's tables and figures and the
+// density extension. Every experiment also runs through Experiments.
 var (
 	// VMConfigTable renders Table 1.
 	VMConfigTable = core.VMConfigTable
@@ -283,25 +289,9 @@ var (
 	RunFigure3 = core.RunFigure3
 	// RunFigure4 reproduces Figure 4 (64-node cluster runtimes).
 	RunFigure4 = core.RunFigure4
-	// RunLightVMExtension evaluates Firecracker/Kata-class lightweight VMs
-	// against Docker and KVM — the future work the paper's §2 names.
-	RunLightVMExtension = core.RunLightVMExtension
-	// RunAblation quantifies each interference mechanism's contribution to
-	// the shared kernel's tails.
-	RunAblation = core.RunAblation
-	// RunInterference doses one fault plan across surface-area partitions
-	// and reports p50/p99/max amplification per environment.
-	RunInterference = core.RunInterference
 	// RunDensity sweeps the high-density serverless scenario: Poisson
 	// cold-start churn of ephemeral tenants per isolation surface.
 	RunDensity = core.RunDensity
-	// RunSpecialize runs the profile-guided specialization experiment:
-	// profile the corpus, generate per-tenant reduced kernels, prove the
-	// reduction sound, and compare against the full-surface environments.
-	RunSpecialize = core.RunSpecialize
-	// RunIsolation measures cross-tenant lock contention across the
-	// surface-area grid and derives each environment's isolation score.
-	RunIsolation = core.RunIsolation
 	// ProfileCorpus derives a corpus's deterministic workload profile.
 	ProfileCorpus = specialize.ProfileCorpus
 	// SpecializeKernel generates the reduced kernel configuration for a
@@ -349,16 +339,9 @@ func NewDaemon(cfg DaemonConfig) *Daemon { return daemon.New(cfg) }
 // NewDaemonRouter binds the versioned ksad HTTP API to a daemon.
 func NewDaemonRouter(d *Daemon) http.Handler { return daemon.NewRouter(d) }
 
-// ExperimentNames lists the named paper experiments the daemon (and
-// RunExperiment) dispatches.
-func ExperimentNames() []string { return core.ExperimentNames() }
-
-// RunExperiment runs one named paper experiment under a context (see
-// ExperimentNames) and returns its rendered output; faultName selects the
-// interference preset and is ignored by every other experiment.
-func RunExperiment(ctx context.Context, sc Scale, name, faultName string) (string, error) {
-	return core.RunExperimentContext(ctx, sc, name, faultName)
-}
+// Experiments returns the experiment table in canonical order: the named
+// tables, figures and extensions that ksaexp and the daemon dispatch.
+func Experiments() []Experiment { return core.Experiments() }
 
 // RunSweepContext is RunSweep with cancellation: queued cells are dropped
 // promptly, in-flight cells drain, and the completed prefix stays
