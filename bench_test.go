@@ -231,7 +231,7 @@ func BenchmarkVarbenchNative(b *testing.B) {
 	opts := ksa.VarbenchOptions{Iterations: 3, Warmup: 0, Seed: 9}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env := ksa.NewNativeEnvironment(ksa.NewEngine(), ksa.PaperMachine, 7)
+		env := ksa.EnvSpec{Kind: ksa.KindNative}.Build(ksa.NewEngine(), ksa.PaperMachine, 7)
 		_ = ksa.RunVarbench(env, c, opts)
 	}
 }
@@ -279,7 +279,7 @@ func BenchmarkVarbenchWithFaults(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env := ksa.NewNativeEnvironment(ksa.NewEngine(), ksa.PaperMachine, 7)
+		env := ksa.EnvSpec{Kind: ksa.KindNative}.Build(ksa.NewEngine(), ksa.PaperMachine, 7)
 		_ = ksa.RunVarbench(env, c, opts)
 	}
 }
@@ -290,7 +290,7 @@ func BenchmarkVarbench64VMs(b *testing.B) {
 	opts := ksa.VarbenchOptions{Iterations: 3, Warmup: 0, Seed: 9}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env := ksa.NewVMEnvironment(ksa.NewEngine(), ksa.PaperMachine, 64, 7)
+		env := ksa.EnvSpec{Kind: ksa.KindVMs, Units: 64}.Build(ksa.NewEngine(), ksa.PaperMachine, 7)
 		_ = ksa.RunVarbench(env, c, opts)
 	}
 }

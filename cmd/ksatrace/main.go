@@ -5,9 +5,12 @@
 //
 // Usage:
 //
-//	ksatrace [-env native|kvm|docker|lightvm] [-units N]
+//	ksatrace [-env native|kvm|docker|lightvm|specialized] [-units N]
 //	         [-scale default|quick] [-seed N] [-threshold dur]
 //	         [-top N] [-csv]
+//
+// -env takes any environment kind; specialized deploys -units full-surface
+// per-tenant kernels (the MultiK baseline, no profile).
 //
 // With -csv the full decomposition of every retained outlier is written
 // to stdout as CSV (one row per record part) instead of the text report.
@@ -23,8 +26,8 @@ import (
 )
 
 func main() {
-	envKind := flag.String("env", "native", "environment: native, kvm, docker, or lightvm")
-	units := flag.Int("units", 64, "number of VMs/containers (ignored for native)")
+	envKind := flag.String("env", "native", "environment: "+ksa.EnvKindNames())
+	units := flag.Int("units", 64, "number of kernels/containers (ignored for native)")
 	scaleName := flag.String("scale", "default", "experiment scale: default or quick")
 	seed := flag.Uint64("seed", 0, "override the scale's seed (unset = keep)")
 	threshold := flag.Duration("threshold", time.Millisecond, "wall-time above which a call earns a blame record")
@@ -52,18 +55,9 @@ func main() {
 		sc.Seed = *seed
 	}
 
-	var kind ksa.EnvKind
-	switch *envKind {
-	case "native":
-		kind = ksa.KindNative
-	case "kvm":
-		kind = ksa.KindVMs
-	case "docker":
-		kind = ksa.KindContainers
-	case "lightvm":
-		kind = ksa.KindLightVMs
-	default:
-		fmt.Fprintf(os.Stderr, "ksatrace: unknown -env %q\n", *envKind)
+	kind, ok := ksa.ParseEnvKind(*envKind)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "ksatrace: unknown -env %q (want one of %s)\n", *envKind, ksa.EnvKindNames())
 		os.Exit(2)
 	}
 	if kind != ksa.KindNative && (*units <= 0 || ksa.PaperMachine.Cores%*units != 0) {

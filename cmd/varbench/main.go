@@ -4,10 +4,15 @@
 //
 // Usage:
 //
-//	varbench [-corpus file] [-env native|kvm|docker] [-units N]
+//	varbench [-corpus file] [-env native|kvm|docker|lightvm|specialized] [-units N]
 //	         [-cores N] [-mem GB] [-iters N] [-warmup N] [-seed N]
 //	         [-trials N] [-parallel N] [-cache dir|off] [-cache-verify]
 //	         [-trace] [-fault name|list]
+//
+// -env takes any environment kind; -units is its kernel or container
+// count. A single specialized run deploys full-surface per-tenant kernels
+// (the MultiK baseline); a -trials sweep first profiles the corpus and
+// generates the tenant kernels from it, as every sweep does.
 //
 // Without -corpus, a corpus is generated on the fly from the seed. With
 // -trace, every kernel is traced and the blame report (top-blamed shared
@@ -37,8 +42,8 @@ import (
 
 func main() {
 	corpusPath := flag.String("corpus", "", "corpus file from ksagen (default: generate)")
-	envKind := flag.String("env", "native", "environment: native, kvm, or docker")
-	units := flag.Int("units", 64, "number of VMs/containers (kvm and docker)")
+	envKind := flag.String("env", "native", "environment: "+ksa.EnvKindNames())
+	units := flag.Int("units", 64, "number of kernels/containers (ignored for native)")
 	cores := flag.Int("cores", 64, "machine cores")
 	mem := flag.Float64("mem", 32, "machine memory (GB)")
 	iters := flag.Int("iters", 20, "recorded iterations per program (0 = warmup only)")
@@ -103,17 +108,14 @@ func main() {
 	}
 
 	m := ksa.Machine{Cores: *cores, MemGB: *mem}
-	var kind ksa.EnvKind
-	switch *envKind {
-	case "native":
-		kind = ksa.KindNative
-	case "kvm":
-		kind = ksa.KindVMs
-	case "docker":
-		kind = ksa.KindContainers
-	default:
-		fmt.Fprintf(os.Stderr, "varbench: unknown -env %q\n", *envKind)
+	kind, ok := ksa.ParseEnvKind(*envKind)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "varbench: unknown -env %q (want one of %s)\n", *envKind, ksa.EnvKindNames())
 		os.Exit(2)
+	}
+	spec := ksa.EnvSpec{Kind: kind}
+	if kind != ksa.KindNative {
+		spec.Units = *units
 	}
 
 	var cache *ksa.ResultCache
@@ -131,7 +133,7 @@ func main() {
 	}
 
 	if *trials > 1 {
-		runSweep(kind, m, c, itersOpt, *warmup, *seed, *trials, *parallel, *traceOn, faults,
+		runSweep(spec, m, c, itersOpt, *warmup, *seed, *trials, *parallel, *traceOn, faults,
 			cache, *cacheVerify)
 		return
 	}
@@ -149,21 +151,9 @@ func main() {
 		if cache != nil {
 			fmt.Fprintln(os.Stderr, "varbench: -contention needs live kernels; running uncached")
 		}
-		eng := ksa.NewEngine()
-		switch kind {
-		case ksa.KindNative:
-			env = ksa.NewNativeEnvironment(eng, m, *seed)
-		case ksa.KindVMs:
-			env = ksa.NewVMEnvironment(eng, m, *units, *seed)
-		case ksa.KindContainers:
-			env = ksa.NewContainerEnvironment(eng, m, *units, *seed)
-		}
+		env = spec.Build(ksa.NewEngine(), m, *seed)
 		res = ksa.RunVarbench(env, c, opts)
 	} else {
-		spec := ksa.EnvSpec{Kind: kind}
-		if kind != ksa.KindNative {
-			spec.Units = *units
-		}
 		res = ksa.RunVarbenchCached(cache, *cacheVerify, spec, m, c, opts)
 	}
 	fmt.Printf("%s: %d call sites, %d cores, %d iterations\n",
@@ -209,7 +199,7 @@ func printBreakdowns(res *ksa.VarbenchResult) {
 	}
 }
 
-func runSweep(kind ksa.EnvKind, m ksa.Machine, c *ksa.Corpus,
+func runSweep(env ksa.EnvSpec, m ksa.Machine, c *ksa.Corpus,
 	iters, warmup int, seed uint64, trials, parallel int, traceOn bool, faults *ksa.FaultPlan,
 	cache *ksa.ResultCache, cacheVerify bool) {
 	sc := ksa.QuickScale()
@@ -219,10 +209,6 @@ func runSweep(kind ksa.EnvKind, m ksa.Machine, c *ksa.Corpus,
 	sc.Parallel = parallel
 	sc.Cache = cache
 	sc.CacheVerify = cacheVerify
-	env := ksa.EnvSpec{Kind: kind}
-	if kind != ksa.KindNative {
-		env.Units = flag.Lookup("units").Value.(flag.Getter).Get().(int)
-	}
 	res := ksa.RunSweep(ksa.SweepOptions{
 		Scale: sc, Machine: m, Envs: []ksa.EnvSpec{env},
 		Trials: trials, Trace: traceOn, Corpus: c, Faults: faults,

@@ -22,9 +22,9 @@ func main() {
 	opts := ksa.VarbenchOptions{Iterations: 10, Warmup: 2, Seed: 7}
 
 	native := ksa.RunVarbench(
-		ksa.NewNativeEnvironment(ksa.NewEngine(), machine, 1), c, opts)
+		ksa.EnvSpec{Kind: ksa.KindNative}.Build(ksa.NewEngine(), machine, 1), c, opts)
 	vms := ksa.RunVarbench(
-		ksa.NewVMEnvironment(ksa.NewEngine(), machine, 4, 1), c, opts)
+		ksa.EnvSpec{Kind: ksa.KindVMs, Units: 4}.Build(ksa.NewEngine(), machine, 1), c, opts)
 
 	// 3. Compare: the shared kernel wins medians, the partitioned kernels
 	// bound the tails — the paper's central trade-off.

@@ -256,15 +256,7 @@ func Run(cfg Config) Result {
 // procs, and (when contended) the co-tenant noise stream.
 func newNode(cfg Config, i int, src *rng.Source, per int) *node {
 	eng := sim.NewEngine()
-	var env *platform.Environment
-	switch cfg.Kind {
-	case platform.KindVMs:
-		env = platform.VMs(eng, cfg.NodeMachine, cfg.Partitions, src)
-	case platform.KindLightVMs:
-		env = platform.LightVMs(eng, cfg.NodeMachine, cfg.Partitions, src)
-	case platform.KindContainers:
-		env = platform.Containers(eng, cfg.NodeMachine, cfg.Partitions, src)
-	}
+	env := platform.Build(eng, cfg.NodeMachine, cfg.Kind, cfg.Partitions, nil, src)
 	n := &node{eng: eng, env: env, src: src.Split(7), target: cfg.RequestsPerIter}
 	for c := 0; c < per; c++ {
 		ref := env.Core(c)

@@ -6,7 +6,6 @@ import (
 
 	"ksa/internal/platform"
 	"ksa/internal/report"
-	"ksa/internal/rng"
 	"ksa/internal/sim"
 	"ksa/internal/trace"
 	"ksa/internal/varbench"
@@ -21,24 +20,13 @@ type BlameResult struct {
 }
 
 // RunBlame deploys the corpus at this scale on the chosen environment
-// with tracing enabled. units is the VM/container count (ignored for
+// with tracing enabled. units is the kernel/container count (ignored for
 // native); threshold is the outlier wall-time (0 = the tracer's 1ms
 // default).
 func RunBlame(sc Scale, kind platform.EnvKind, units int, threshold sim.Time) BlameResult {
 	c, _ := sc.GenerateCorpus()
 	eng := sim.NewEngine()
-	m := platform.PaperMachine
-	var env *platform.Environment
-	switch kind {
-	case platform.KindVMs:
-		env = platform.VMs(eng, m, units, rng.New(sc.Seed))
-	case platform.KindContainers:
-		env = platform.Containers(eng, m, units, rng.New(sc.Seed))
-	case platform.KindLightVMs:
-		env = platform.LightVMs(eng, m, units, rng.New(sc.Seed))
-	default:
-		env = platform.Native(eng, m, rng.New(sc.Seed))
-	}
+	env := EnvSpec{Kind: kind, Units: units}.Build(eng, platform.PaperMachine, sc.Seed)
 	opts := sc.vbOptions()
 	opts.Trace = &trace.Options{Threshold: threshold}
 	return BlameResult{Env: env.Name, Res: varbench.Run(env, c, opts)}

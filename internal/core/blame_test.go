@@ -89,3 +89,11 @@ func TestBlameCSV(t *testing.T) {
 		t.Fatalf("%d CSV rows for %d records (need >= one row per record)", len(lines)-1, nRecs)
 	}
 }
+
+// RunBlame deploys the kind it is asked for; no kind falls back to native.
+func TestRunBlameDeploysSpecialized(t *testing.T) {
+	res := RunBlame(QuickScale(), platform.KindSpecialized, 8, 0)
+	if res.Env != "spec-8x8" {
+		t.Fatalf("specialized blame run deployed %q, want spec-8x8", res.Env)
+	}
+}

@@ -285,12 +285,12 @@ func TestVarbenchKeyInvalidation(t *testing.T) {
 	bigger.Cores = 16
 
 	variants := []resultcache.Key{
-		varbenchKey(spec, m, optsIters, "", "digest0", opts.Seed),           // harness length
-		varbenchKey(spec, m, opts, "", "digest0", opts.Seed+1),              // seed
-		varbenchKey(spec, m, opts, "", "digest1", opts.Seed),                // corpus
-		varbenchKey(spec, m, opts, plan.Sig(), "digest0", opts.Seed),        // fault plan
-		varbenchKey(spec, bigger, opts, "", "digest0", opts.Seed),           // machine
-		varbenchKey(EnvSpec{Kind: platform.KindVMs, Units: 4}, m, opts, "", "digest0", opts.Seed), // partitioning
+		varbenchKey(spec, m, optsIters, "", "digest0", opts.Seed),                                        // harness length
+		varbenchKey(spec, m, opts, "", "digest0", opts.Seed+1),                                           // seed
+		varbenchKey(spec, m, opts, "", "digest1", opts.Seed),                                             // corpus
+		varbenchKey(spec, m, opts, plan.Sig(), "digest0", opts.Seed),                                     // fault plan
+		varbenchKey(spec, bigger, opts, "", "digest0", opts.Seed),                                        // machine
+		varbenchKey(EnvSpec{Kind: platform.KindVMs, Units: 4}, m, opts, "", "digest0", opts.Seed),        // partitioning
 		varbenchKey(EnvSpec{Kind: platform.KindContainers, Units: 2}, m, opts, "", "digest0", opts.Seed), // substrate
 	}
 	seen := map[string]bool{base.Hash(): true}

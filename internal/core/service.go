@@ -25,29 +25,22 @@ import (
 // "specialized:8" is accepted as an alias. Unit counts must be positive;
 // native takes none.
 func ParseEnvSpec(s string) (EnvSpec, error) {
-	if s == "native" {
-		return EnvSpec{Kind: platform.KindNative}, nil
-	}
 	// "specialized:N" is the per-tenant orchestration spelling; normalize
 	// it to the canonical dash form before the generic cut.
 	if units, ok := strings.CutPrefix(s, "specialized:"); ok {
 		s = "specialized-" + units
 	}
-	name, units, ok := strings.Cut(s, "-")
-	var kind platform.EnvKind
-	switch name {
-	case "kvm":
-		kind = platform.KindVMs
-	case "docker":
-		kind = platform.KindContainers
-	case "lightvm":
-		kind = platform.KindLightVMs
-	case "specialized":
-		kind = platform.KindSpecialized
-	default:
-		return EnvSpec{}, fmt.Errorf("unknown environment %q (want native, kvm-N, docker-N, lightvm-N, or specialized-N)", s)
-	}
-	if !ok {
+	name, units, hasUnits := strings.Cut(s, "-")
+	kind, ok := platform.ParseKind(name)
+	switch {
+	case !ok:
+		return EnvSpec{}, fmt.Errorf("unknown environment %q (want one of %s; all but native take a unit count, e.g. kvm-8)",
+			s, platform.KindNames())
+	case kind == platform.KindNative && hasUnits:
+		return EnvSpec{}, fmt.Errorf("environment %q: native takes no unit count", s)
+	case kind == platform.KindNative:
+		return EnvSpec{Kind: kind}, nil
+	case !hasUnits:
 		return EnvSpec{}, fmt.Errorf("environment %q needs a unit count (e.g. %q)", s, s+"-8")
 	}
 	n, err := strconv.Atoi(units)

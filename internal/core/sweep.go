@@ -44,26 +44,15 @@ func (e EnvSpec) String() string {
 	return fmt.Sprintf("%s-%d", e.Kind, e.Units)
 }
 
-// Build constructs the environment on eng, drawing all of its construction
-// randomness from seed.
+// Build constructs the environment on eng, drawing all of its
+// construction randomness from seed. A specialized spec's Profile is
+// resolved to the reduction its tenant kernels are generated from.
 func (e EnvSpec) Build(eng *sim.Engine, m platform.Machine, seed uint64) *platform.Environment {
-	src := rng.New(seed)
-	switch e.Kind {
-	case platform.KindVMs:
-		return platform.VMs(eng, m, e.Units, src)
-	case platform.KindLightVMs:
-		return platform.LightVMs(eng, m, e.Units, src)
-	case platform.KindContainers:
-		return platform.Containers(eng, m, e.Units, src)
-	case platform.KindSpecialized:
-		var red *kernel.Reduction
-		if e.Profile != nil {
-			red = specialize.Specialize(e.Profile, syscalls.Default())
-		}
-		return platform.Specialized(eng, m, e.Units, src, red)
-	default:
-		return platform.Native(eng, m, src)
+	var red *kernel.Reduction
+	if e.Kind == platform.KindSpecialized && e.Profile != nil {
+		red = specialize.Specialize(e.Profile, syscalls.Default())
 	}
+	return platform.Build(eng, m, e.Kind, e.Units, red, rng.New(seed))
 }
 
 // SweepOptions configures RunSweep: a dense environment × corpus × trial

@@ -131,7 +131,7 @@ func TestRouterSSEEdgeCases(t *testing.T) {
 		wantStatus  int
 		wantEvents  int // -1: don't care
 	}{
-		{"replay all", events, "", http.StatusOK, 3},          // queued, started, done
+		{"replay all", events, "", http.StatusOK, 3}, // queued, started, done
 		{"since beyond head", events + "?since=9999", "", http.StatusOK, 0},
 		{"since at head", events + "?since=3", "", http.StatusOK, 0},
 		{"since mid-stream", events + "?since=2", "", http.StatusOK, 1},

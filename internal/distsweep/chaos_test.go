@@ -184,9 +184,9 @@ func TestChaosTwoCoordinatorsOneFleet(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			res, err := Run(runnerCtx(t), Options{
-				Spec:    spec,
-				Workers: fleet.URLs()[i*2 : i*2+2],
-				Owner:   fmt.Sprintf("coord-%d", i),
+				Spec:     spec,
+				Workers:  fleet.URLs()[i*2 : i*2+2],
+				Owner:    fmt.Sprintf("coord-%d", i),
 				LeaseTTL: 2 * time.Second, HoldWait: 50 * time.Millisecond,
 			})
 			results <- out{res, err}

@@ -1,20 +1,9 @@
 package platform
 
 import (
-	"fmt"
-
 	"ksa/internal/kernel"
-	"ksa/internal/rng"
 	"ksa/internal/sim"
 )
-
-// KindLightVMs is the "lightweight VM" environment: Firecracker / Kata /
-// Nabla-class systems the paper's related-work section names as the
-// interesting middle ground — container-like density and ergonomics with
-// VM-grade kernel isolation. The paper explicitly leaves evaluating them as
-// future work ("such technologies would be interesting to evaluate in a
-// similar fashion"); this model is that evaluation's substrate.
-const KindLightVMs EnvKind = 3
 
 // LightVirtModel returns the lightweight hypervisor's overhead model: the
 // same isolation structure as DefaultVirtModel (private guest kernel,
@@ -33,35 +22,4 @@ func LightVirtModel(host *sim.Semaphore) *kernel.VirtModel {
 		HostNoiseMax:    sim.FromMicros(220),
 		HostNoiseAlpha:  2.0,
 	}
-}
-
-// LightVMs builds an n-microVM environment partitioning the machine evenly,
-// exactly like VMs but with the lightweight overhead model.
-func LightVMs(eng *sim.Engine, m Machine, n int, src *rng.Source) *Environment {
-	if n <= 0 || m.Cores%n != 0 {
-		panic(fmt.Sprintf("platform: %d microVMs do not evenly partition %d cores", n, m.Cores))
-	}
-	host := sim.NewSemaphore(eng, "host-blk", 8)
-	e := &Environment{
-		Name:      fmt.Sprintf("lightvm-%dx%d", n, m.Cores/n),
-		Kind:      KindLightVMs,
-		Units:     n,
-		Eng:       eng,
-		HostBlock: host,
-	}
-	coresPer := m.Cores / n
-	memPer := m.MemGB / float64(n)
-	for i := 0; i < n; i++ {
-		k := kernel.New(eng, kernel.Config{
-			Name:  fmt.Sprintf("microvm%d", i),
-			Cores: coresPer,
-			MemGB: memPer,
-			Virt:  LightVirtModel(host),
-		}, src.Split(uint64(i)+0x4c56))
-		e.Kernels = append(e.Kernels, k)
-		for c := 0; c < coresPer; c++ {
-			e.cores = append(e.cores, CoreRef{Kernel: k, Core: c})
-		}
-	}
-	return e
 }

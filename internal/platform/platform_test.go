@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ksa/internal/kernel"
@@ -10,7 +12,7 @@ import (
 
 func TestNativeLayout(t *testing.T) {
 	eng := sim.NewEngine()
-	e := Native(eng, PaperMachine, rng.New(1))
+	e := Build(eng, PaperMachine, KindNative, 0, nil, rng.New(1))
 	if e.NumCores() != 64 || len(e.Kernels) != 1 {
 		t.Fatalf("native: %d cores, %d kernels", e.NumCores(), len(e.Kernels))
 	}
@@ -31,7 +33,7 @@ func TestNativeLayout(t *testing.T) {
 func TestVMPartitioning(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
 		eng := sim.NewEngine()
-		e := VMs(eng, PaperMachine, n, rng.New(1))
+		e := Build(eng, PaperMachine, KindVMs, n, nil, rng.New(1))
 		if len(e.Kernels) != n {
 			t.Fatalf("%d VMs: got %d kernels", n, len(e.Kernels))
 		}
@@ -49,10 +51,71 @@ func TestVMPartitioning(t *testing.T) {
 				t.Fatalf("%d VMs: guest not virtualized", n)
 			}
 		}
-		if e.HostBlock == nil {
-			t.Fatal("VM env missing host block device")
-		}
 	}
+}
+
+// Every kind through Build: kernel count and per-kernel share of the
+// machine, the isolation model (virtualized, reduced, sharing the node's
+// block queue), and the env and kernel names that outputs and cache keys
+// carry.
+func TestBuildLayout(t *testing.T) {
+	red := kernel.NewReduction(8)
+	for _, tc := range []struct {
+		kind    EnvKind
+		name    string
+		kernels []string
+		virt    bool
+		cores   int
+		mem     float64
+		reduced bool
+	}{
+		{KindNative, "native", []string{"native"}, false, 64, 32, false},
+		{KindVMs, "kvm-4x16", []string{"vm0", "vm1", "vm2", "vm3"}, true, 16, 8, false},
+		{KindLightVMs, "lightvm-4x16", []string{"microvm0", "microvm1", "microvm2", "microvm3"}, true, 16, 8, false},
+		{KindContainers, "docker-4x16", []string{"docker-4"}, false, 64, 32, false},
+		{KindSpecialized, "spec-4x16", []string{"spec0", "spec1", "spec2", "spec3"}, false, 16, 8, true},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			e := Build(sim.NewEngine(), PaperMachine, tc.kind, 4, red, rng.New(1))
+			if e.Name != tc.name {
+				t.Fatalf("env named %q, want %q", e.Name, tc.name)
+			}
+			if e.NumCores() != 64 || len(e.Kernels) != len(tc.kernels) {
+				t.Fatalf("%d cores over %d kernels, want 64 over %d", e.NumCores(), len(e.Kernels), len(tc.kernels))
+			}
+			for i, k := range e.Kernels {
+				if k.Name() != tc.kernels[i] {
+					t.Fatalf("kernel %d named %q, want %q", i, k.Name(), tc.kernels[i])
+				}
+				if k.NumCores() != tc.cores || k.MemGB() != tc.mem {
+					t.Fatalf("kernel %s manages %d cores / %v GB, want %d / %v", k.Name(), k.NumCores(), k.MemGB(), tc.cores, tc.mem)
+				}
+				if k.Virtualized() != tc.virt {
+					t.Fatalf("kernel %s virtualized = %v", k.Name(), k.Virtualized())
+				}
+				if got := k.Reduction() != nil; got != tc.reduced {
+					t.Fatalf("kernel %s reduced = %v, want %v", k.Name(), got, tc.reduced)
+				}
+				if tc.kind == KindSpecialized {
+					if dev := k.BlockDevice(); dev != e.Kernels[0].BlockDevice() || dev.Name() != "node-blk" || dev.Cap() != 4 {
+						t.Fatalf("kernel %s does not share the depth-4 node-blk queue", k.Name())
+					}
+				}
+				if ref := e.Core(i * tc.cores); ref.Kernel != k || ref.Core != 0 {
+					t.Fatalf("core %d does not map to %s's core 0", i*tc.cores, k.Name())
+				}
+			}
+		})
+	}
+}
+
+func TestBuildRejectsUnknownKind(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "kind(99)") {
+			t.Fatalf("unknown kind: recovered %v, want a panic naming kind(99)", r)
+		}
+	}()
+	Build(sim.NewEngine(), PaperMachine, EnvKind(99), 4, nil, rng.New(1))
 }
 
 func TestVMsRejectUneven(t *testing.T) {
@@ -61,12 +124,12 @@ func TestVMsRejectUneven(t *testing.T) {
 			t.Fatal("uneven partition did not panic")
 		}
 	}()
-	VMs(sim.NewEngine(), PaperMachine, 3, rng.New(1))
+	Build(sim.NewEngine(), PaperMachine, KindVMs, 3, nil, rng.New(1))
 }
 
 func TestContainersShareOneKernel(t *testing.T) {
 	eng := sim.NewEngine()
-	e := Containers(eng, PaperMachine, 16, rng.New(1))
+	e := Build(eng, PaperMachine, KindContainers, 16, nil, rng.New(1))
 	if len(e.Kernels) != 1 {
 		t.Fatalf("containers built %d kernels", len(e.Kernels))
 	}
@@ -83,8 +146,8 @@ func TestContainersShareOneKernel(t *testing.T) {
 }
 
 func TestContainerNoiseScalesWithCount(t *testing.T) {
-	e1 := Containers(sim.NewEngine(), PaperMachine, 1, rng.New(1))
-	e64 := Containers(sim.NewEngine(), PaperMachine, 64, rng.New(1))
+	e1 := Build(sim.NewEngine(), PaperMachine, KindContainers, 1, nil, rng.New(1))
+	e64 := Build(sim.NewEngine(), PaperMachine, KindContainers, 64, nil, rng.New(1))
 	p1, p64 := e1.Kernels[0].Params(), e64.Kernels[0].Params()
 	if p64.NoiseMeanGap >= p1.NoiseMeanGap {
 		t.Fatal("64 containers should densify housekeeping")
@@ -100,7 +163,7 @@ func TestContainersRejectNonPositive(t *testing.T) {
 			t.Fatal("0 containers did not panic")
 		}
 	}()
-	Containers(sim.NewEngine(), PaperMachine, 0, rng.New(1))
+	Build(sim.NewEngine(), PaperMachine, KindContainers, 0, nil, rng.New(1))
 }
 
 func TestVMConfigTableMatchesPaper(t *testing.T) {
@@ -119,8 +182,29 @@ func TestVMConfigTableMatchesPaper(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if KindNative.String() != "native" || KindVMs.String() != "kvm" || KindContainers.String() != "docker" {
-		t.Fatal("kind names wrong")
+	want := []string{"native", "kvm", "docker", "lightvm", "specialized"}
+	if len(kindNames) != len(want) {
+		t.Fatalf("%d kinds in the table, want %d", len(kindNames), len(want))
+	}
+	for i, name := range want {
+		k := EnvKind(i)
+		if k.String() != name {
+			t.Fatalf("kind %d is %q, want %q", i, k, name)
+		}
+		if got, ok := ParseKind(name); !ok || got != k {
+			t.Fatalf("ParseKind(%q) = %v, %v", name, got, ok)
+		}
+	}
+	for _, bad := range []string{"", "vm", "KVM", "native-8", "kind(5)"} {
+		if k, ok := ParseKind(bad); ok {
+			t.Fatalf("ParseKind(%q) accepted as %v", bad, k)
+		}
+	}
+	if got := EnvKind(99).String(); got != "kind(99)" {
+		t.Fatalf("unknown kind renders as %q", got)
+	}
+	if got := KindNames(); got != "native, kvm, docker, lightvm, specialized" {
+		t.Fatalf("KindNames() = %q", got)
 	}
 }
 
@@ -128,8 +212,8 @@ func TestKindString(t *testing.T) {
 // has a far smaller noise ceiling than the native kernel.
 func TestSurfaceAreaNoiseOrdering(t *testing.T) {
 	eng := sim.NewEngine()
-	nat := Native(eng, PaperMachine, rng.New(1))
-	vms := VMs(sim.NewEngine(), PaperMachine, 64, rng.New(1))
+	nat := Build(eng, PaperMachine, KindNative, 0, nil, rng.New(1))
+	vms := Build(sim.NewEngine(), PaperMachine, KindVMs, 64, nil, rng.New(1))
 	natCap := nat.Kernels[0].Params().NoiseMaxBurst
 	vmCap := vms.Kernels[0].Params().NoiseMaxBurst
 	if vmCap*10 > natCap {
@@ -150,9 +234,9 @@ func TestVirtTaxBounded(t *testing.T) {
 		return got
 	}
 	natEng := sim.NewEngine()
-	nat := Native(natEng, PaperMachine, rng.New(9))
+	nat := Build(natEng, PaperMachine, KindNative, 0, nil, rng.New(9))
 	vmEng := sim.NewEngine()
-	vm := VMs(vmEng, PaperMachine, 64, rng.New(9))
+	vm := Build(vmEng, PaperMachine, KindVMs, 64, nil, rng.New(9))
 	tn, tv := run(nat), run(vm)
 	if tv <= tn {
 		t.Fatalf("virtualized task (%v) not slower than native (%v)", tv, tn)
@@ -164,9 +248,9 @@ func TestVirtTaxBounded(t *testing.T) {
 
 func TestLightVMsLayout(t *testing.T) {
 	eng := sim.NewEngine()
-	e := LightVMs(eng, PaperMachine, 4, rng.New(1))
-	if e.Kind != KindLightVMs || e.Kind.String() != "lightvm" {
-		t.Fatal("wrong kind")
+	e := Build(eng, PaperMachine, KindLightVMs, 4, nil, rng.New(1))
+	if e.Name != "lightvm-4x16" {
+		t.Fatalf("lightvm environment named %q", e.Name)
 	}
 	if len(e.Kernels) != 4 || e.NumCores() != 64 {
 		t.Fatal("wrong partitioning")

@@ -1,8 +1,6 @@
 package tailbench
 
 import (
-	"fmt"
-
 	"ksa/internal/corpus"
 	"ksa/internal/fault"
 	"ksa/internal/kernel"
@@ -16,7 +14,8 @@ import (
 // into 4 partitions of 16 cores; partition 0 serves one tailbench app, the
 // other three optionally run the 48-core varbench noise corpus.
 type SingleNodeConfig struct {
-	// Kind selects KVM VMs or Docker containers as the isolation substrate.
+	// Kind selects the isolation substrate: KVM VMs or Docker containers in
+	// Figure 3, or any other kind platform.Build deploys.
 	Kind platform.EnvKind
 	// App is the tailbench workload to serve.
 	App *App
@@ -50,17 +49,7 @@ type SingleNodeConfig struct {
 func MeasureServiceTime(kind platform.EnvKind, app *App, machine platform.Machine, parts int, seed uint64) sim.Time {
 	eng := sim.NewEngine()
 	src := rng.New(seed ^ 0xca11b)
-	var env *platform.Environment
-	switch kind {
-	case platform.KindVMs:
-		env = platform.VMs(eng, machine, parts, src)
-	case platform.KindLightVMs:
-		env = platform.LightVMs(eng, machine, parts, src)
-	case platform.KindContainers:
-		env = platform.Containers(eng, machine, parts, src)
-	default:
-		env = platform.Native(eng, machine, src)
-	}
+	env := platform.Build(eng, machine, kind, parts, nil, src)
 	ref := env.Core(0)
 	proc := syscalls.NewProc(eng)
 	proc.Salt = 0x7357
@@ -100,17 +89,7 @@ func RunSingleNode(cfg SingleNodeConfig) Measurement {
 	}
 	eng := sim.NewEngine()
 	src := rng.New(cfg.Seed)
-	var env *platform.Environment
-	switch cfg.Kind {
-	case platform.KindVMs:
-		env = platform.VMs(eng, cfg.Machine, cfg.Partitions, src)
-	case platform.KindLightVMs:
-		env = platform.LightVMs(eng, cfg.Machine, cfg.Partitions, src)
-	case platform.KindContainers:
-		env = platform.Containers(eng, cfg.Machine, cfg.Partitions, src)
-	default:
-		panic(fmt.Sprintf("tailbench: unsupported env kind %v", cfg.Kind))
-	}
+	env := platform.Build(eng, cfg.Machine, cfg.Kind, cfg.Partitions, nil, src)
 	per := cfg.Machine.Cores / cfg.Partitions
 	appCores := make([]platform.CoreRef, 0, per)
 	for i := 0; i < per; i++ {

@@ -169,7 +169,7 @@ func TestStartNoiseRespectsDeadline(t *testing.T) {
 	opts.TargetPrograms = 5
 	c, _ := fuzz.Generate(opts)
 	eng := sim.NewEngine()
-	env := platform.Containers(eng, platform.Machine{Cores: 8, MemGB: 4}, 2, rng.New(1))
+	env := platform.Build(eng, platform.Machine{Cores: 8, MemGB: 4}, platform.KindContainers, 2, nil, rng.New(1))
 	cores := []platform.CoreRef{env.Core(4), env.Core(5)}
 	n := StartNoise(env, cores, c, 5*sim.Millisecond, 100*sim.Microsecond, nil)
 	eng.Run()
@@ -186,7 +186,7 @@ func TestStartNoiseStop(t *testing.T) {
 	opts.TargetPrograms = 5
 	c, _ := fuzz.Generate(opts)
 	eng := sim.NewEngine()
-	env := platform.Containers(eng, platform.Machine{Cores: 4, MemGB: 2}, 2, rng.New(1))
+	env := platform.Build(eng, platform.Machine{Cores: 4, MemGB: 2}, platform.KindContainers, 2, nil, rng.New(1))
 	cores := []platform.CoreRef{env.Core(2), env.Core(3)}
 	n := StartNoise(env, cores, c, sim.Forever, 100*sim.Microsecond, nil)
 	eng.RunUntil(2 * sim.Millisecond)
@@ -202,7 +202,7 @@ func TestStartNoiseStop(t *testing.T) {
 
 func TestStartNoiseEmptyInputs(t *testing.T) {
 	eng := sim.NewEngine()
-	env := platform.Containers(eng, platform.Machine{Cores: 2, MemGB: 1}, 1, rng.New(1))
+	env := platform.Build(eng, platform.Machine{Cores: 2, MemGB: 1}, platform.KindContainers, 1, nil, rng.New(1))
 	n := StartNoise(env, nil, &corpus.Corpus{}, sim.Forever, 0, nil)
 	eng.Run()
 	if n.Calls() != 0 {

@@ -24,7 +24,7 @@ func mixedPlan(t *testing.T) *fault.Plan {
 func TestFaultedRunDeterministic(t *testing.T) {
 	c := smallCorpus(t)
 	run := func(p *fault.Plan) *Result {
-		env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(9))
+		env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(9))
 		return Run(env, c, Options{Iterations: 4, Warmup: 1, Seed: 9, Faults: p})
 	}
 	a := run(mixedPlan(t))
@@ -66,7 +66,7 @@ func TestFaultedRunDeterministic(t *testing.T) {
 // counters agree that injected wait is a subset of total lock wait.
 func TestInjectedWaitTaggedInBlame(t *testing.T) {
 	c := smallCorpus(t)
-	env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(9))
+	env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(9))
 	res := Run(env, c, Options{
 		Iterations: 4, Warmup: 1, Seed: 9, Faults: mixedPlan(t),
 		Trace: &trace.Options{Threshold: 1, MaxRecords: 1 << 20},

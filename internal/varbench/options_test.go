@@ -56,7 +56,7 @@ func TestWithDefaultsKeepsExplicitValues(t *testing.T) {
 // no samples recorded, empty-but-callable breakdowns, no panics.
 func TestRunZeroIterations(t *testing.T) {
 	c := smallCorpus(t)
-	env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(3))
+	env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(3))
 	res := Run(env, c, Options{Iterations: ExplicitZero, Warmup: 2})
 	if res.Iterations != 0 {
 		t.Fatalf("res.Iterations = %d, want 0", res.Iterations)
@@ -83,7 +83,7 @@ func TestRunZeroIterations(t *testing.T) {
 // An idealized run: free barrier, no release skew.
 func TestRunIdealBarrier(t *testing.T) {
 	c := smallCorpus(t)
-	env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(5))
+	env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(5))
 	res := Run(env, c, Options{Iterations: 2,
 		BarrierHop: ExplicitZero, ReleaseSkewMean: ExplicitZero})
 	for _, sr := range res.Sites {

@@ -16,7 +16,7 @@ import (
 func TestTracingDoesNotChangeMeasurement(t *testing.T) {
 	c := smallCorpus(t)
 	run := func(topts *trace.Options) *Result {
-		env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(9))
+		env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(9))
 		return Run(env, c, Options{Iterations: 4, Warmup: 1, Seed: 9, Trace: topts})
 	}
 	plain := run(nil)
@@ -49,7 +49,7 @@ func TestTracingDoesNotChangeMeasurement(t *testing.T) {
 // counts agree exactly.
 func TestKernelStatsInSyncWithTracer(t *testing.T) {
 	c := smallCorpus(t)
-	env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(9))
+	env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(9))
 	res := Run(env, c, Options{Iterations: 4, Warmup: 1, Seed: 9, Trace: &trace.Options{}})
 	if len(env.Kernels) != 1 || len(res.Tracers) != 1 {
 		t.Fatal("expected one kernel, one tracer")
@@ -82,7 +82,7 @@ func TestKernelStatsInSyncWithTracer(t *testing.T) {
 // Blame records map back to the call sites they came from.
 func TestSiteBlameMapping(t *testing.T) {
 	c := smallCorpus(t)
-	env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(9))
+	env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(9))
 	// A tiny threshold makes every call an outlier, so every site with
 	// samples must be reachable from the records.
 	res := Run(env, c, Options{Iterations: 2, Warmup: 0, Seed: 9,
@@ -125,7 +125,7 @@ func TestSiteBlameMapping(t *testing.T) {
 // Every kernel of a partitioned environment gets its own tracer.
 func TestTracersPerKernel(t *testing.T) {
 	c := smallCorpus(t)
-	env := platform.VMs(sim.NewEngine(), smallMachine(), 4, rng.New(9))
+	env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindVMs, 4, nil, rng.New(9))
 	res := Run(env, c, Options{Iterations: 2, Warmup: 0, Seed: 9, Trace: &trace.Options{}})
 	if len(res.Tracers) != len(env.Kernels) {
 		t.Fatalf("%d tracers for %d kernels", len(res.Tracers), len(env.Kernels))

@@ -23,7 +23,7 @@ func smallMachine() platform.Machine { return platform.Machine{Cores: 8, MemGB: 
 
 func TestRunCollectsAllSites(t *testing.T) {
 	c := smallCorpus(t)
-	env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(1))
+	env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(1))
 	opts := Options{Iterations: 5, Warmup: 1}
 	res := Run(env, c, opts)
 	if len(res.Sites) != c.NumCalls() {
@@ -43,7 +43,7 @@ func TestRunCollectsAllSites(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	c := smallCorpus(t)
 	run := func() *Result {
-		env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(7))
+		env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(7))
 		return Run(env, c, Options{Iterations: 3, Warmup: 0})
 	}
 	a, b := run(), run()
@@ -60,10 +60,14 @@ func TestRunDeterministic(t *testing.T) {
 func TestRunOnVMsAndContainers(t *testing.T) {
 	c := smallCorpus(t)
 	for _, build := range []func() *platform.Environment{
-		func() *platform.Environment { return platform.VMs(sim.NewEngine(), smallMachine(), 8, rng.New(2)) },
-		func() *platform.Environment { return platform.VMs(sim.NewEngine(), smallMachine(), 2, rng.New(2)) },
 		func() *platform.Environment {
-			return platform.Containers(sim.NewEngine(), smallMachine(), 8, rng.New(2))
+			return platform.Build(sim.NewEngine(), smallMachine(), platform.KindVMs, 8, nil, rng.New(2))
+		},
+		func() *platform.Environment {
+			return platform.Build(sim.NewEngine(), smallMachine(), platform.KindVMs, 2, nil, rng.New(2))
+		},
+		func() *platform.Environment {
+			return platform.Build(sim.NewEngine(), smallMachine(), platform.KindContainers, 8, nil, rng.New(2))
 		},
 	} {
 		env := build()
@@ -83,7 +87,7 @@ func TestWarmupExcluded(t *testing.T) {
 	c := &corpus.Corpus{}
 	getpid := syscalls.Default().Lookup("getpid")
 	c.Add(&corpus.Program{Calls: []corpus.Call{{Syscall: getpid.ID()}}})
-	env := platform.Native(sim.NewEngine(), platform.Machine{Cores: 2, MemGB: 1}, rng.New(3))
+	env := platform.Build(sim.NewEngine(), platform.Machine{Cores: 2, MemGB: 1}, platform.KindNative, 0, nil, rng.New(3))
 	res := Run(env, c, Options{Iterations: 4, Warmup: 3})
 	if got := res.Sites[0].Sample.Len(); got != 2*4 {
 		t.Fatalf("recorded %d samples, want 8 (warmup leaked in?)", got)
@@ -92,7 +96,7 @@ func TestWarmupExcluded(t *testing.T) {
 
 func TestBreakdownsConsistent(t *testing.T) {
 	c := smallCorpus(t)
-	env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(5))
+	env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(5))
 	res := Run(env, c, Options{Iterations: 5, Warmup: 1})
 	med, p99, max := res.MedianBreakdown(), res.P99Breakdown(), res.MaxBreakdown()
 	if med.N != len(res.Sites) || p99.N != med.N || max.N != med.N {
@@ -110,7 +114,7 @@ func TestBreakdownsConsistent(t *testing.T) {
 
 func TestSiteSampleLookup(t *testing.T) {
 	c := smallCorpus(t)
-	env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(5))
+	env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(5))
 	res := Run(env, c, Options{Iterations: 2, Warmup: 0})
 	if res.SiteSample(Site{0, 0}) == nil {
 		t.Fatal("site (0,0) missing")
@@ -122,7 +126,7 @@ func TestSiteSampleLookup(t *testing.T) {
 
 func TestCategoryP99s(t *testing.T) {
 	c := smallCorpus(t)
-	env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(5))
+	env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(5))
 	res := Run(env, c, Options{Iterations: 3, Warmup: 0})
 	total := 0
 	for _, cn := range syscalls.CategoryNames {
@@ -141,7 +145,7 @@ func TestCategoryP99s(t *testing.T) {
 
 func TestResultString(t *testing.T) {
 	c := smallCorpus(t)
-	env := platform.Native(sim.NewEngine(), smallMachine(), rng.New(5))
+	env := platform.Build(sim.NewEngine(), smallMachine(), platform.KindNative, 0, nil, rng.New(5))
 	res := Run(env, c, Options{Iterations: 2, Warmup: 0})
 	if res.String() == "" {
 		t.Fatal("empty String")

@@ -6,7 +6,8 @@
 // paper's six categories (plus network and modern *at/xattr families) (internal/syscalls), a coverage-guided corpus
 // generator standing in for Syzkaller (internal/fuzz), the varbench
 // barrier-synchronized measurement harness (internal/varbench), native /
-// KVM / Docker environment models (internal/platform), the tailbench
+// KVM / Docker / microVM / specialized environment models
+// (internal/platform), the tailbench
 // application workloads (internal/tailbench), and a 64-node BSP cluster
 // harness (internal/cluster). See DESIGN.md for the system inventory and
 // the paper-to-module substitution map.
@@ -15,7 +16,7 @@
 // environment, and regenerate any of the paper's tables and figures.
 //
 //	c, _ := ksa.GenerateCorpus(ksa.CorpusOptions{Seed: 1, TargetPrograms: 40})
-//	env := ksa.NewNativeEnvironment(ksa.NewEngine(), ksa.PaperMachine, 1)
+//	env := ksa.EnvSpec{Kind: ksa.KindNative}.Build(ksa.NewEngine(), ksa.PaperMachine, 1)
 //	res := ksa.RunVarbench(env, c, ksa.VarbenchOptions{Iterations: 10})
 //	fmt.Println(res.P99Breakdown().Row())
 //
@@ -39,7 +40,6 @@ import (
 	"ksa/internal/kernel"
 	"ksa/internal/platform"
 	"ksa/internal/resultcache"
-	"ksa/internal/rng"
 	"ksa/internal/runner"
 	"ksa/internal/sim"
 	"ksa/internal/specialize"
@@ -59,7 +59,7 @@ type (
 	Time = sim.Time
 	// Machine describes a physical host to partition.
 	Machine = platform.Machine
-	// Environment is a deployed configuration (native / VMs / containers).
+	// Environment is a deployed configuration (EnvSpec.Build).
 	Environment = platform.Environment
 	// EnvKind discriminates environment flavors.
 	EnvKind = platform.EnvKind
@@ -188,24 +188,6 @@ func ReadCorpus(r io.Reader) (*Corpus, error) {
 	return corpus.ParseText(r, syscalls.Default())
 }
 
-// NewNativeEnvironment builds a bare-metal deployment: one kernel managing
-// the whole machine.
-func NewNativeEnvironment(eng *Engine, m Machine, seed uint64) *Environment {
-	return platform.Native(eng, m, rng.New(seed))
-}
-
-// NewVMEnvironment partitions the machine into n KVM-style VMs (n must
-// divide the core count).
-func NewVMEnvironment(eng *Engine, m Machine, n int, seed uint64) *Environment {
-	return platform.VMs(eng, m, n, rng.New(seed))
-}
-
-// NewContainerEnvironment deploys n Docker-style containers over one shared
-// kernel.
-func NewContainerEnvironment(eng *Engine, m Machine, n int, seed uint64) *Environment {
-	return platform.Containers(eng, m, n, rng.New(seed))
-}
-
 // RunVarbench deploys the corpus on every core of the environment with
 // global barrier synchronization and returns per-call-site latency
 // distributions.
@@ -303,6 +285,11 @@ var (
 	FaultPreset = fault.Preset
 	// DecodeFaultPlan parses a plan from its canonical text form.
 	DecodeFaultPlan = fault.Decode
+	// ParseEnvKind maps an environment name ("native", "kvm", "docker",
+	// "lightvm", "specialized") to its kind.
+	ParseEnvKind = platform.ParseKind
+	// EnvKindNames lists every environment name, for usage text.
+	EnvKindNames = platform.KindNames
 )
 
 // KindLightVMs selects the lightweight-VM (Firecracker/Kata-class)

@@ -28,9 +28,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	m := ksa.Machine{Cores: 8, MemGB: 4}
 	opts := ksa.VarbenchOptions{Iterations: 3, Warmup: 1, Seed: 3}
-	native := ksa.RunVarbench(ksa.NewNativeEnvironment(ksa.NewEngine(), m, 1), c, opts)
-	vms := ksa.RunVarbench(ksa.NewVMEnvironment(ksa.NewEngine(), m, 8, 1), c, opts)
-	docker := ksa.RunVarbench(ksa.NewContainerEnvironment(ksa.NewEngine(), m, 8, 1), c, opts)
+	native := ksa.RunVarbench(ksa.EnvSpec{Kind: ksa.KindNative}.Build(ksa.NewEngine(), m, 1), c, opts)
+	vms := ksa.RunVarbench(ksa.EnvSpec{Kind: ksa.KindVMs, Units: 8}.Build(ksa.NewEngine(), m, 1), c, opts)
+	docker := ksa.RunVarbench(ksa.EnvSpec{Kind: ksa.KindContainers, Units: 8}.Build(ksa.NewEngine(), m, 1), c, opts)
 	for _, r := range []*ksa.VarbenchResult{native, vms, docker} {
 		if len(r.Sites) != c.NumCalls() {
 			t.Fatalf("%s: wrong site count", r.Env)
