@@ -169,12 +169,14 @@ func TestCompileRejectsOutOfRangeRef(t *testing.T) {
 }
 
 // Allocation budget for one compiled-program iteration on a warmed runner:
-// the replay itself (argument materialization, task submission, event
-// scheduling, continuations) must allocate nothing — the only allocations
-// left are the micro-op slices the syscall compilers build and the fresh
-// process context ResetProc installs, bounded here per iteration. The
-// bound is deliberately a ceiling with headroom, not an exact count; it
-// exists so per-call allocations can never silently creep back in.
+// the replay — process reset, argument materialization, op-list building
+// in the Ctx arena, task submission, lock grants, event scheduling,
+// continuations — allocates nothing per call. The one allocation source
+// left is the block-device path's grant closures (two per device round
+// trip, taken only on page-cache misses and rare flushes), which averages
+// well under one per iteration here; the budget is that measured zero
+// plus one of headroom, with no per-call term, so per-call allocations
+// cannot silently creep back in.
 func TestCompiledIterationAllocBudget(t *testing.T) {
 	eng, k := newTestKernel(11)
 	r := NewRunner(eng, k, 0, syscalls.Default())
@@ -191,11 +193,8 @@ func TestCompiledIterationAllocBudget(t *testing.T) {
 		r.RunCompiled(cp, nil, nil)
 		eng.Run()
 	})
-	// Empirically ~4 allocs/iteration for ResetProc (proc, rwlock, fd
-	// table) plus ~2 per call for op-list building at the time this budget
-	// was set; 5 calls → comfortably under 5 per call.
-	budget := float64(5 * len(p.Calls))
+	const budget = 1
 	if allocs > budget {
-		t.Fatalf("compiled iteration allocated %.1f, budget %.1f", allocs, budget)
+		t.Fatalf("compiled iteration allocated %.1f, budget %d", allocs, budget)
 	}
 }

@@ -39,8 +39,7 @@ var enosysOps = []kernel.Op{{Kind: kernel.OpCompute, Dur: enosysFailCost}}
 // only start after the previous one's done callback has fired); in
 // exchange it reuses its argument and result arenas, its task, and its
 // continuation closures across calls and across iterations, so replaying a
-// compiled program allocates nothing per call beyond the micro-op
-// sequences the syscall compilers build.
+// compiled program allocates nothing per call.
 type Runner struct {
 	Table *syscalls.Table
 	Eng   *sim.Engine
@@ -112,9 +111,15 @@ func NewRunner(eng *sim.Engine, k *kernel.Kernel, core int, tab *syscalls.Table)
 // exec'd anew, while the runner's arenas and scheduling state persist.
 // Iteration-oriented harnesses (varbench resets before every recorded
 // iteration) use it to reproduce the exact behavior of building a new
-// runner without discarding the warmed replay arenas.
+// runner without discarding the warmed replay arenas. The runner's Proc
+// is reset in place (see syscalls.Proc.Reset), so it must not be called
+// while a program is in flight.
 func (r *Runner) ResetProc() {
-	r.Proc = syscalls.NewProc(r.Eng)
+	if r.Proc == nil {
+		r.Proc = syscalls.NewProc(r.Eng)
+	} else {
+		r.Proc.Reset()
+	}
 	// Each rank works on private kernel objects (its own directory, its own
 	// mappings); the salt keeps its hashes off other ranks' shards.
 	r.Proc.Salt = uint64(r.Core+1) * 0xbf58476d1ce4e5b9

@@ -116,19 +116,21 @@ func coverageOf(p *corpus.Program, tab *syscalls.Table, evalSeed uint64) *Covera
 		Params: kernel.Params{Quiet: true},
 	}, rng.New(evalSeed))
 	cov := NewCoverage()
-	proc := syscalls.NewProc(eng)
+	// One Ctx for the whole program, so its op-list arena is reused across
+	// calls; the compiled ops themselves are not needed, only the blocks.
+	ctx := &syscalls.Ctx{Kern: k, Core: 0, Proc: syscalls.NewProc(eng), Cov: cov}
 	results := make([]uint64, len(p.Calls))
+	var args []uint64
 	for i, call := range p.Calls {
 		spec := tab.Get(call.Syscall)
-		args := make([]uint64, len(call.Args))
-		for j, a := range call.Args {
+		args = args[:0]
+		for _, a := range call.Args {
 			if a.Kind == corpus.ValResult {
-				args[j] = results[a.X]
+				args = append(args, results[a.X])
 			} else {
-				args[j] = a.X
+				args = append(args, a.X)
 			}
 		}
-		ctx := &syscalls.Ctx{Kern: k, Core: 0, Proc: proc, Cov: cov}
 		_, ret := spec.Compile(ctx, args)
 		results[i] = ret
 	}

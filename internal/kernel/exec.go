@@ -42,49 +42,16 @@ func (k *Kernel) step(c *core, t *Task) {
 		}
 		t.lockStack = append(t.lockStack, op.Lock)
 		l := k.Lock(op.Lock)
-		reqAt := k.eng.Now()
-		var waiters int
+		t.req = grantReq{lock: op.Lock, at: k.eng.Now()}
 		if k.tracer != nil {
-			waiters = l.QueueLen()
+			t.req.waiters = l.QueueLen()
 		}
 		// Snapshot the injected-hold accumulator at request time; the delta
 		// at grant, clamped to the wait, is the injected share of it.
-		var injSnap sim.Time
 		if k.inj != nil {
-			injSnap = k.inj.lockHoldAccum[op.Lock]
+			t.req.injSnap = k.inj.lockHoldAccum[op.Lock]
 		}
-		l.Acquire(func() {
-			wait := k.eng.Now() - reqAt
-			k.stats.LockWait += wait
-			var injWait sim.Time
-			if k.inj != nil {
-				injWait = k.inj.lockHoldAccum[op.Lock] - injSnap
-				if injWait > wait {
-					injWait = wait
-				}
-				k.stats.InjLockWait += injWait
-			}
-			if iso := k.iso; iso != nil {
-				s := iso.lockScopes[op.Lock]
-				s.Touch(t.Tenant)
-				if wait > 0 {
-					// The emergent remainder of the wait is cross-tenant by
-					// construction: with one task per tenant, a tenant whose
-					// only task is queued holds nothing itself (DESIGN §15).
-					s.Wait(t.Tenant, wait, injWait)
-					t.isoWait += wait
-					t.isoCross += wait - injWait
-					t.isoInj += injWait
-				}
-			}
-			if tr := k.tracer; tr != nil {
-				tr.LockAcquired(t.blame, k.eng.Now(), c.id, TraceLockName(op.Lock), wait, injWait, waiters)
-			}
-			if k.tracer != nil || k.iso != nil {
-				t.lockAcqAt = append(t.lockAcqAt, k.eng.Now())
-			}
-			k.step(c, t)
-		})
+		l.Acquire(t.granted)
 
 	case OpUnlock:
 		n := len(t.lockStack)
@@ -108,22 +75,16 @@ func (k *Kernel) step(c *core, t *Task) {
 		k.step(c, t)
 
 	case OpRLock:
-		reqAt := k.eng.Now()
-		t.AddrSpace.RLock(func() {
-			k.mmapGranted(c, t, reqAt)
-			k.step(c, t)
-		})
+		t.req = grantReq{mm: true, at: k.eng.Now()}
+		t.AddrSpace.RLock(t.granted)
 
 	case OpRUnlock:
 		t.AddrSpace.RUnlock()
 		k.step(c, t)
 
 	case OpWLock:
-		reqAt := k.eng.Now()
-		t.AddrSpace.Lock(func() {
-			k.mmapGranted(c, t, reqAt)
-			k.step(c, t)
-		})
+		t.req = grantReq{mm: true, at: k.eng.Now()}
+		t.AddrSpace.Lock(t.granted)
 
 	case OpWUnlock:
 		t.AddrSpace.Unlock()
@@ -155,14 +116,49 @@ func (k *Kernel) step(c *core, t *Task) {
 	}
 }
 
-// mmapGranted books an address-space semaphore grant: the wait counts
-// toward Stats.LockWait and, when tracing, the mmap_sem pseudo-lock.
-func (k *Kernel) mmapGranted(c *core, t *Task, reqAt sim.Time) {
-	wait := k.eng.Now() - reqAt
+// granted books the grant of the lock t.req asked for, then runs t's next
+// op. The wait counts toward Stats.LockWait; for a kernel lock its
+// injected share also counts toward InjLockWait, and the observers see
+// both.
+func (k *Kernel) granted(c *core, t *Task) {
+	wait := k.eng.Now() - t.req.at
 	k.stats.LockWait += wait
-	if tr := k.tracer; tr != nil {
-		tr.MMapWait(t.blame, k.eng.Now(), c.id, wait)
+	if t.req.mm {
+		if tr := k.tracer; tr != nil {
+			tr.MMapWait(t.blame, k.eng.Now(), c.id, wait)
+		}
+		k.step(c, t)
+		return
 	}
+	id := t.req.lock
+	var injWait sim.Time
+	if k.inj != nil {
+		injWait = k.inj.lockHoldAccum[id] - t.req.injSnap
+		if injWait > wait {
+			injWait = wait
+		}
+		k.stats.InjLockWait += injWait
+	}
+	if iso := k.iso; iso != nil {
+		s := iso.lockScopes[id]
+		s.Touch(t.Tenant)
+		if wait > 0 {
+			// The emergent remainder of the wait is cross-tenant by
+			// construction: with one task per tenant, a tenant whose
+			// only task is queued holds nothing itself (DESIGN §15).
+			s.Wait(t.Tenant, wait, injWait)
+			t.isoWait += wait
+			t.isoCross += wait - injWait
+			t.isoInj += injWait
+		}
+	}
+	if tr := k.tracer; tr != nil {
+		tr.LockAcquired(t.blame, k.eng.Now(), c.id, TraceLockName(id), wait, injWait, t.req.waiters)
+	}
+	if k.tracer != nil || k.iso != nil {
+		t.lockAcqAt = append(t.lockAcqAt, k.eng.Now())
+	}
+	k.step(c, t)
 }
 
 // computeCost applies hold scaling and the virtualization tax to an op's

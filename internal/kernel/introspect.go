@@ -28,7 +28,11 @@ func (l LockStats) ContentionRate() float64 {
 // LockStats reads lock id's contention counters without creating it: a
 // lock never used reads as zero.
 func (k *Kernel) LockStats(id LockID) LockStats {
-	return lockStats(TraceLockName(id), k.locks[id])
+	var l *sim.Lock
+	if k.locks != nil {
+		l = k.locks[id]
+	}
+	return lockStats(TraceLockName(id), l)
 }
 
 func lockStats(name string, l *sim.Lock) LockStats {

@@ -20,11 +20,12 @@ func tenantKernel(eng *sim.Engine, seed uint64) *kernel.Kernel {
 }
 
 // TestTenantKernelByteBudget pins what building a 1-core kernel allocates.
-// Locks are created on first use, so construction must not pay for the
-// full 525-lock surface.
+// Locks are created on first use, and their 525-slot table with the first
+// lock, so construction pays for neither (about 1.2 KB, against 4.2 KB for
+// the table alone).
 func TestTenantKernelByteBudget(t *testing.T) {
 	const builds = 200
-	const budget = 16 << 10
+	const budget = 2 << 10
 	eng := sim.NewEngine()
 	keep := make([]*kernel.Kernel, builds)
 	var before, after runtime.MemStats
@@ -62,6 +63,11 @@ func TestColdStartCreatesOnlyTouchedLocks(t *testing.T) {
 	k := tenantKernel(eng, 3)
 	if n := k.CreatedLocks(); n != 0 {
 		t.Fatalf("fresh kernel has %d locks, want 0", n)
+	}
+	for id := kernel.LockID(0); id < kernel.LockID(kernel.NumLocks()); id++ {
+		if s := k.LockStats(id); s.Acquires != 0 {
+			t.Fatalf("fresh kernel reports %d acquires of %s", s.Acquires, s.Name)
+		}
 	}
 	done := false
 	corpus.NewRunner(eng, k, 0, tab).Run(prog, nil, func() { done = true })

@@ -138,8 +138,13 @@ type OpList struct {
 	ops []Op
 }
 
-// Ops returns the accumulated sequence.
+// Ops returns the accumulated sequence. It aliases the list's storage:
+// after a Reset, further appends overwrite it.
 func (l *OpList) Ops() []Op { return l.ops }
+
+// Reset empties the list while keeping its storage, so a list reused
+// across sequences stops allocating once it has grown to the longest one.
+func (l *OpList) Reset() { l.ops = l.ops[:0] }
 
 // Compute appends on-CPU work.
 func (l *OpList) Compute(d sim.Time) *OpList {

@@ -66,11 +66,11 @@ func (b *Barrier) Arrive(resume func()) {
 	if len(b.waiting) < b.parties {
 		return
 	}
-	batch := b.waiting
-	b.waiting = nil
 	b.epochs++
 	release := b.eng.Now() + b.ReleaseLatency()
-	for _, fn := range batch {
+	// Scheduling runs no callbacks, so the waiting list can be emptied in
+	// place and reused by the next epoch.
+	for _, fn := range b.waiting {
 		at := release
 		if b.Jitter != nil {
 			if j := b.Jitter(); j > 0 {
@@ -79,4 +79,6 @@ func (b *Barrier) Arrive(resume func()) {
 		}
 		b.eng.At(at, fn)
 	}
+	clear(b.waiting)
+	b.waiting = b.waiting[:0]
 }

@@ -9,10 +9,15 @@ package sim
 // hold times, including preemption of the holder by housekeeping noise, and
 // calls Release when the modeled critical section ends).
 type Lock struct {
-	eng     *Engine
-	name    string
-	held    bool
+	eng  *Engine
+	name string
+	held bool
+	// waiters[head:] is the FIFO of queued grants. Release advances head
+	// instead of reslicing the front away, and the queue rewinds to the
+	// start of its backing array when it drains, so a contended lock stops
+	// allocating once the array has grown to its deepest queue.
 	waiters []waiter
+	head    int
 
 	// Contention counters, used by tests and by kernel introspection.
 	acquires  uint64
@@ -37,7 +42,7 @@ func NewLock(eng *Engine, name string) *Lock {
 func (l *Lock) Held() bool { return l.held }
 
 // QueueLen returns the number of waiters currently queued.
-func (l *Lock) QueueLen() int { return len(l.waiters) }
+func (l *Lock) QueueLen() int { return len(l.waiters) - l.head }
 
 // Acquires returns the total number of grants so far.
 func (l *Lock) Acquires() uint64 { return l.acquires }
@@ -62,9 +67,16 @@ func (l *Lock) Acquire(granted func()) {
 		return
 	}
 	l.contended++
+	if l.head > 0 && len(l.waiters) == cap(l.waiters) {
+		// Full, with spent slots at the front: slide the live queue down
+		// instead of growing past entries that will never be read again.
+		n := copy(l.waiters, l.waiters[l.head:])
+		clear(l.waiters[n:])
+		l.waiters, l.head = l.waiters[:n], 0
+	}
 	l.waiters = append(l.waiters, waiter{granted, l.eng.Now()})
-	if len(l.waiters) > l.maxQueue {
-		l.maxQueue = len(l.waiters)
+	if q := l.QueueLen(); q > l.maxQueue {
+		l.maxQueue = q
 	}
 }
 
@@ -75,12 +87,16 @@ func (l *Lock) Release() {
 	if !l.held {
 		panic("sim: Release of unheld lock " + l.name)
 	}
-	if len(l.waiters) == 0 {
+	if l.QueueLen() == 0 {
 		l.held = false
 		return
 	}
-	next := l.waiters[0]
-	l.waiters = l.waiters[1:]
+	next := l.waiters[l.head]
+	l.waiters[l.head] = waiter{} // drop the spent grant's closure
+	l.head++
+	if l.head == len(l.waiters) {
+		l.waiters, l.head = l.waiters[:0], 0
+	}
 	l.totalWait += l.eng.Now() - next.at
 	next.fn()
 }

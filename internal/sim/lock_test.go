@@ -101,6 +101,51 @@ func TestLockDrainsProperty(t *testing.T) {
 	}
 }
 
+// Property: against a naive reslicing FIFO model, any interleaving of
+// acquires and releases grants in arrival order with the same queue
+// length and high-water mark — including queues that never drain, where
+// the lock reuses and compacts its waiter array instead of reslicing it.
+func TestLockFIFOMatchesModelProperty(t *testing.T) {
+	if err := quick.Check(func(ops []bool) bool {
+		e := NewEngine()
+		l := NewLock(e, "model")
+		var granted, model []int
+		held, maxQ, next := false, 0, 0
+		for _, acquire := range ops {
+			if acquire || !held {
+				id := next
+				next++
+				l.Acquire(func() { granted = append(granted, id) })
+				if held {
+					model = append(model, id)
+					maxQ = max(maxQ, len(model))
+				} else {
+					held = true
+				}
+				continue
+			}
+			l.Release()
+			if len(model) == 0 {
+				held = false
+			} else {
+				model = model[1:]
+			}
+			if l.QueueLen() != len(model) {
+				return false
+			}
+		}
+		for i, id := range granted {
+			if id != i {
+				return false
+			}
+		}
+		return len(granted) == next-len(model) && l.QueueLen() == len(model) &&
+			l.MaxQueue() == maxQ && l.Held() == held
+	}, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRWLockReadersShare(t *testing.T) {
 	e := NewEngine()
 	l := NewRWLock(e, "rw")

@@ -124,19 +124,27 @@ type Proc struct {
 // descriptors, an empty address space, and root credentials.
 func NewProc(eng *sim.Engine) *Proc {
 	p := &Proc{
-		MM:        sim.NewRWLock(eng, "mm"),
-		nextInode: 1,
-		Brk:       1 << 20,
-		Caps:      0xffff,
+		MM: sim.NewRWLock(eng, "mm"),
 		// Room for stdio plus a typical program's handful of opens in the
-		// initial allocation: processes are mass-constructed (one per
-		// harness iteration), so append-time growth is worth avoiding.
+		// initial allocation, so append-time growth is rare.
 		fds: make([]FD, 0, 8),
 	}
+	p.Reset()
+	return p
+}
+
+// Reset returns p to exactly the state NewProc builds — stdio-only
+// descriptors, an empty address space, root credentials, zero Salt — in
+// place, reusing its descriptor table's storage and its address-space
+// semaphore. Harnesses that exec a fresh process per iteration reset one
+// instead of allocating one. MM must be idle: Reset panics if it is held
+// or has waiters.
+func (p *Proc) Reset() {
+	p.MM.Reset()
+	*p = Proc{MM: p.MM, fds: p.fds[:0], nextInode: 1, Brk: 1 << 20, Caps: 0xffff}
 	for i := 0; i < 3; i++ {
 		p.AddFD(FDFile)
 	}
-	return p
 }
 
 // AddFD opens a descriptor of the given kind and returns its index. Like a
@@ -203,7 +211,10 @@ type NopCoverage struct{}
 func (NopCoverage) Hit(uint32) {}
 
 // Ctx carries everything a syscall compilation needs: the target kernel,
-// the issuing core, the process, and the coverage sink.
+// the issuing core, the process, and the coverage sink. It also owns the
+// op-list arena every compilation on it builds into, so reusing one Ctx
+// across calls makes op-list building allocation-free once the arena has
+// grown to the longest call's length. A Ctx compiles one call at a time.
 type Ctx struct {
 	Kern *kernel.Kernel
 	Core int
@@ -212,6 +223,16 @@ type Ctx struct {
 
 	// callID is set by the dispatcher so cover() can build block IDs.
 	callID ID
+	// ops is the op-list arena; list() hands it out emptied.
+	ops kernel.OpList
+}
+
+// list returns the Ctx's op-list arena, emptied, for the call being
+// compiled to append its micro-ops to. The ops it accumulates are valid
+// until the next compilation on this Ctx.
+func (c *Ctx) list() *kernel.OpList {
+	c.ops.Reset()
+	return &c.ops
 }
 
 // cover records that the current call traversed branch b.

@@ -10,61 +10,66 @@ import (
 // a shared host queue) — the paper accordingly finds no clear surface-area
 // trend for this category.
 func fileIOSpecs() []*Spec {
-	// readLike compiles read/pread-style ops; offsetExtra adds the pread
-	// bookkeeping cost.
+	// readOps and writeOps append the read/pread- and write/pwrite-style
+	// ops to l; offsetExtra adds the pread/pwrite bookkeeping cost. The
+	// vectored calls reuse them after their own per-iovec setup.
+	readOps := func(ctx *Ctx, l *kernel.OpList, fdArg, size uint64, offsetExtra float64) {
+		fd, _ := ctx.Proc.LookupFD(fdArg)
+		l.Compute(us(0.35 + offsetExtra))
+		switch fd.Kind {
+		case FDPipeRead, FDPipeWrite:
+			ctx.cover(1)
+			l.Crit(pipeLock(ctx, fd.Pipe), us(0.8))
+			l.Compute(copyCost(size % (1 << 16)))
+		case FDEventFD:
+			ctx.cover(2)
+			l.Compute(us(0.5))
+		default:
+			if ctx.Kern.PageCacheHit(ctx.Core) {
+				ctx.cover(3)
+				l.Compute(copyCost(size))
+			} else {
+				ctx.cover(4)
+				l.BlockIO(0)
+				lruTouch(ctx, l, us(0.8), 5) // insert new page
+				l.Compute(copyCost(size))
+			}
+		}
+	}
+	writeOps := func(ctx *Ctx, l *kernel.OpList, fdArg, size uint64, offsetExtra float64) {
+		fd, _ := ctx.Proc.LookupFD(fdArg)
+		l.Compute(us(0.4 + offsetExtra))
+		switch fd.Kind {
+		case FDPipeRead, FDPipeWrite:
+			ctx.cover(1)
+			l.Crit(pipeLock(ctx, fd.Pipe), us(0.9))
+			l.Compute(copyCost(size % (1 << 16)))
+		default:
+			ctx.cover(2)
+			l.Compute(copyCost(size))
+			if ctx.rng().Bool(0.12) {
+				// Dirty-page balance: occasional LRU work.
+				ctx.cover(3)
+				lruTouch(ctx, l, us(1.4), 5)
+			}
+			if ctx.rng().Bool(0.03) {
+				// Writeback threshold hit: synchronous flush.
+				ctx.cover(4)
+				l.BlockIO(0)
+			}
+		}
+	}
 	readLike := func(offsetExtra float64) CompileFunc {
 		return func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-			var l kernel.OpList
-			fd, _ := ctx.Proc.LookupFD(args[0])
-			size := args[1]
-			l.Compute(us(0.35 + offsetExtra))
-			switch fd.Kind {
-			case FDPipeRead, FDPipeWrite:
-				ctx.cover(1)
-				l.Crit(pipeLock(ctx, fd.Pipe), us(0.8))
-				l.Compute(copyCost(size % (1 << 16)))
-			case FDEventFD:
-				ctx.cover(2)
-				l.Compute(us(0.5))
-			default:
-				if ctx.Kern.PageCacheHit(ctx.Core) {
-					ctx.cover(3)
-					l.Compute(copyCost(size))
-				} else {
-					ctx.cover(4)
-					l.BlockIO(0)
-					lruTouch(ctx, &l, us(0.8), 5) // insert new page
-					l.Compute(copyCost(size))
-				}
-			}
+			l := ctx.list()
+			readOps(ctx, l, args[0], args[1], offsetExtra)
 			return l.Ops(), 0
 		}
 	}
 	writeLike := func(offsetExtra float64) CompileFunc {
 		return func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-			var l kernel.OpList
-			fd, _ := ctx.Proc.LookupFD(args[0])
-			size := args[1]
-			l.Compute(us(0.4 + offsetExtra))
-			switch fd.Kind {
-			case FDPipeRead, FDPipeWrite:
-				ctx.cover(1)
-				l.Crit(pipeLock(ctx, fd.Pipe), us(0.9))
-				l.Compute(copyCost(size % (1 << 16)))
-			default:
-				ctx.cover(2)
-				l.Compute(copyCost(size))
-				if ctx.rng().Bool(0.12) {
-					// Dirty-page balance: occasional LRU work.
-					ctx.cover(3)
-					lruTouch(ctx, &l, us(1.4), 5)
-				}
-				if ctx.rng().Bool(0.03) {
-					// Writeback threshold hit: synchronous flush.
-					ctx.cover(4)
-					l.BlockIO(0)
-				}
-			}
+			l := ctx.list()
+			writeOps(ctx, l, args[0], args[1], offsetExtra)
 			return l.Ops(), 0
 		}
 	}
@@ -95,11 +100,10 @@ func fileIOSpecs() []*Spec {
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "iovs", Kind: ArgConst, Domain: 8}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
 				iovs := args[1]%8 + 1
-				inner := readLike(0.1)
-				ops, _ := inner(ctx, []uint64{args[0], iovs * 4096})
-				var l kernel.OpList
+				l := ctx.list()
 				l.Compute(us(0.1 * float64(iovs)))
-				return append(l.Ops(), ops...), 0
+				readOps(ctx, l, args[0], iovs*4096, 0.1)
+				return l.Ops(), 0
 			},
 		},
 		{
@@ -107,18 +111,17 @@ func fileIOSpecs() []*Spec {
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "iovs", Kind: ArgConst, Domain: 8}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
 				iovs := args[1]%8 + 1
-				inner := writeLike(0.1)
-				ops, _ := inner(ctx, []uint64{args[0], iovs * 4096})
-				var l kernel.OpList
+				l := ctx.list()
 				l.Compute(us(0.1 * float64(iovs)))
-				return append(l.Ops(), ops...), 0
+				writeOps(ctx, l, args[0], iovs*4096, 0.1)
+				return l.Ops(), 0
 			},
 		},
 		{
 			Name: "lseek", Cats: CatFileIO, Weight: 1.8,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "off", Kind: ArgSize, Domain: 1 << 20}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.3))
 				return l.Ops(), 0
@@ -128,11 +131,11 @@ func fileIOSpecs() []*Spec {
 			Name: "fsync", Cats: CatFileIO | CatFS, Weight: 0.7,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
 				l.Crit(inodeLock(ctx, fd.Inode), us(1.8))
-				journalTxn(ctx, &l, us(7), 2)
+				journalTxn(ctx, l, us(7), 2)
 				l.BlockIO(0)
 				return l.Ops(), 0
 			},
@@ -141,9 +144,9 @@ func fileIOSpecs() []*Spec {
 			Name: "fdatasync", Cats: CatFileIO, Weight: 0.7,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
-				journalTxn(ctx, &l, us(4.5), 2)
+				journalTxn(ctx, l, us(4.5), 2)
 				l.BlockIO(0)
 				return l.Ops(), 0
 			},
@@ -152,12 +155,12 @@ func fileIOSpecs() []*Spec {
 			Name: "fallocate", Cats: CatFileIO | CatFS, Weight: 0.7,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "len", Kind: ArgSize, Domain: 1 << 22}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
 				l.Crit(inodeLock(ctx, fd.Inode), us(2))
-				pageAlloc(ctx, &l, us(1.5), 5)
-				journalTxn(ctx, &l, us(5), 2)
+				pageAlloc(ctx, l, us(1.5), 5)
+				journalTxn(ctx, l, us(5), 2)
 				return l.Ops(), 0
 			},
 		},
@@ -165,12 +168,12 @@ func fileIOSpecs() []*Spec {
 			Name: "ftruncate", Cats: CatFileIO | CatFS,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "len", Kind: ArgSize, Domain: 1 << 22}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
 				l.Crit(inodeLock(ctx, fd.Inode), us(2.2))
-				lruTouch(ctx, &l, us(1.6), 5) // drop truncated pages
-				journalTxn(ctx, &l, us(4), 2)
+				lruTouch(ctx, l, us(1.6), 5) // drop truncated pages
+				journalTxn(ctx, l, us(4), 2)
 				return l.Ops(), 0
 			},
 		},
@@ -178,7 +181,7 @@ func fileIOSpecs() []*Spec {
 			Name: "sendfile", Cats: CatFileIO,
 			Args: []ArgSpec{{Name: "outfd", Kind: ArgFD}, {Name: "infd", Kind: ArgFD}, {Name: "count", Kind: ArgSize, Domain: 1 << 18}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				l.Compute(us(0.8))
 				if ctx.Kern.PageCacheHit(ctx.Core) {
 					ctx.cover(1)
@@ -195,7 +198,7 @@ func fileIOSpecs() []*Spec {
 			Name: "splice", Cats: CatFileIO | CatIPC,
 			Args: []ArgSpec{{Name: "fdin", Kind: ArgFD}, {Name: "fdout", Kind: ArgFD}, {Name: "count", Kind: ArgSize, Domain: 1 << 16}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fdin, _ := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
 				l.Crit(pipeLock(ctx, fdin.Pipe), us(1.1))
@@ -207,7 +210,7 @@ func fileIOSpecs() []*Spec {
 			Name: "tee", Cats: CatFileIO | CatIPC, Weight: 0.6,
 			Args: []ArgSpec{{Name: "fdin", Kind: ArgFD}, {Name: "fdout", Kind: ArgFD}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fdin, _ := ctx.Proc.LookupFD(args[0])
 				fdout, _ := ctx.Proc.LookupFD(args[1])
 				ctx.cover(1)
@@ -220,7 +223,7 @@ func fileIOSpecs() []*Spec {
 			Name: "dup", Cats: CatFileIO, Returns: ResFD,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
 				l.Compute(us(0.45))
@@ -232,7 +235,7 @@ func fileIOSpecs() []*Spec {
 			Name: "fcntl", Cats: CatFileIO,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "cmd", Kind: ArgConst, Domain: 16}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if args[1]%16 == 7 {
 					// F_SETLK: file lock table.
 					ctx.cover(1)
@@ -249,7 +252,7 @@ func fileIOSpecs() []*Spec {
 			Name: "ioctl", Cats: CatFileIO,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "req", Kind: ArgConst, Domain: 64}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				// Device ioctls trap under virtualization.
 				l.ComputeExits(us(0.9), 1)
@@ -260,7 +263,7 @@ func fileIOSpecs() []*Spec {
 			Name: "copy_file_range", Cats: CatFileIO, Weight: 0.7,
 			Args: []ArgSpec{{Name: "fdin", Kind: ArgFD}, {Name: "fdout", Kind: ArgFD}, {Name: "count", Kind: ArgSize, Domain: 1 << 18}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if ctx.Kern.PageCacheHit(ctx.Core) {
 					ctx.cover(1)
 					l.Compute(pageWork(args[2], 0.06))
@@ -276,7 +279,7 @@ func fileIOSpecs() []*Spec {
 			Name: "readahead", Cats: CatFileIO, Weight: 0.6,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "count", Kind: ArgSize, Domain: 1 << 19}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(1))
 				if !ctx.Kern.PageCacheHit(ctx.Core) {
@@ -290,7 +293,7 @@ func fileIOSpecs() []*Spec {
 			Name: "close", Cats: CatFileIO, Weight: 2.0,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				_, idx := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
 				l.Compute(us(0.4))
@@ -300,7 +303,7 @@ func fileIOSpecs() []*Spec {
 					if ctx.rng().Bool(0.05) {
 						// Last reference to a dirty file: deferred flush.
 						ctx.cover(3)
-						lruTouch(ctx, &l, us(1.2), 5)
+						lruTouch(ctx, l, us(1.2), 5)
 					}
 				}
 				return l.Ops(), 0
@@ -310,7 +313,7 @@ func fileIOSpecs() []*Spec {
 			Name: "flock", Cats: CatFileIO,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "op", Kind: ArgConst, Domain: 4}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
 				l.Crit(inodeLock(ctx, fd.Inode), us(1.3))

@@ -14,9 +14,9 @@ func ipcSpecs() []*Spec {
 		{
 			Name: "pipe2", Cats: CatIPC | CatFileIO, Returns: ResFD,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
-				pageAlloc(ctx, &l, us(1.4), 3)
+				pageAlloc(ctx, l, us(1.4), 3)
 				l.Compute(us(0.9))
 				fd := ctx.Proc.AddPipe()
 				return l.Ops(), uint64(fd)
@@ -29,7 +29,7 @@ func ipcSpecs() []*Spec {
 				{Name: "op", Kind: ArgConst, Domain: 4},
 			},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				bucket := futexLock(ctx, args[0])
 				switch args[1] % 4 {
 				case 0: // FUTEX_WAIT with timeout
@@ -56,7 +56,7 @@ func ipcSpecs() []*Spec {
 			Name: "msgget", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "key", Kind: ArgConst, Domain: 64}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if ctx.rng().Bool(0.2) {
 					ctx.cover(1) // create: namespace write
 					l.Crit(kernel.LockIPC, us(1.0))
@@ -71,9 +71,9 @@ func ipcSpecs() []*Spec {
 			Name: "msgsnd", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "size", Kind: ArgSize, Domain: 1 << 13}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
-				pageAlloc(ctx, &l, us(0.8), 3) // message buffer
+				pageAlloc(ctx, l, us(0.8), 3) // message buffer
 				l.Crit(ipcObjLock(ctx, args[0]), us(1.8))
 				l.Compute(copyCost(args[0]))
 				return l.Ops(), 0
@@ -83,7 +83,7 @@ func ipcSpecs() []*Spec {
 			Name: "msgrcv", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "size", Kind: ArgSize, Domain: 1 << 13}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if ctx.rng().Bool(0.35) {
 					// Queue empty: block until timeout.
 					ctx.cover(1)
@@ -101,7 +101,7 @@ func ipcSpecs() []*Spec {
 			Name: "semget", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "nsems", Kind: ArgConst, Domain: 32}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if ctx.rng().Bool(0.2) {
 					ctx.cover(1)
 					l.Crit(kernel.LockIPC, us(1.0))
@@ -116,7 +116,7 @@ func ipcSpecs() []*Spec {
 			Name: "semop", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "nops", Kind: ArgConst, Domain: 8}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(ipcObjLock(ctx, args[0]), us(1.2+0.3*float64(args[0]%8)))
 				return l.Ops(), 0
@@ -126,7 +126,7 @@ func ipcSpecs() []*Spec {
 			Name: "semtimedop", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "nops", Kind: ArgConst, Domain: 8}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if ctx.rng().Bool(0.3) {
 					ctx.cover(1)
 					l.Crit(ipcObjLock(ctx, args[0]), us(1.2))
@@ -142,17 +142,17 @@ func ipcSpecs() []*Spec {
 			Name: "shmget", Cats: CatIPC | CatMem,
 			Args: []ArgSpec{{Name: "size", Kind: ArgSize, Domain: 1 << 22}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(kernel.LockIPC, us(0.9))
-				pageAlloc(ctx, &l, us(1.6), 3)
+				pageAlloc(ctx, l, us(1.6), 3)
 				return l.Ops(), 0
 			},
 		},
 		{
 			Name: "shmat", Cats: CatIPC | CatMem,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.8))
 				l.MMapWrite(us(2))
@@ -163,7 +163,7 @@ func ipcSpecs() []*Spec {
 		{
 			Name: "shmdt", Cats: CatIPC | CatMem,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if ctx.Proc.VMAs == 0 {
 					ctx.cover(1)
 					l.Compute(us(0.5))
@@ -179,7 +179,7 @@ func ipcSpecs() []*Spec {
 		{
 			Name: "eventfd2", Cats: CatIPC | CatFileIO, Returns: ResFD,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.8))
 				fd := ctx.Proc.AddFD(FDEventFD)
@@ -189,9 +189,9 @@ func ipcSpecs() []*Spec {
 		{
 			Name: "epoll_create1", Cats: CatIPC | CatFileIO, Returns: ResFD,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
-				pageAlloc(ctx, &l, us(1.1), 3)
+				pageAlloc(ctx, l, us(1.1), 3)
 				fd := ctx.Proc.AddFD(FDEpoll)
 				return l.Ops(), uint64(fd)
 			},
@@ -200,7 +200,7 @@ func ipcSpecs() []*Spec {
 			Name: "epoll_ctl", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "epfd", Kind: ArgFD}, {Name: "fd", Kind: ArgFD}, {Name: "op", Kind: ArgConst, Domain: 3}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				epfd, _ := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
 				l.Crit(inodeLock(ctx, epfd.Inode), us(1.3))
@@ -211,7 +211,7 @@ func ipcSpecs() []*Spec {
 			Name: "epoll_wait", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "epfd", Kind: ArgFD}, {Name: "timeout_us", Kind: ArgMicros, Domain: 100}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				epfd, _ := ctx.Proc.LookupFD(args[0])
 				l.Crit(inodeLock(ctx, epfd.Inode), us(0.9))
 				if args[1] > 0 && ctx.rng().Bool(0.5) {
@@ -226,9 +226,9 @@ func ipcSpecs() []*Spec {
 		{
 			Name: "socketpair", Cats: CatIPC | CatFileIO, Returns: ResFD,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
-				pageAlloc(ctx, &l, us(2), 3)
+				pageAlloc(ctx, l, us(2), 3)
 				l.Compute(us(1.2))
 				fd := ctx.Proc.AddFD(FDSocket)
 				ctx.Proc.AddFD(FDSocket)
@@ -239,7 +239,7 @@ func ipcSpecs() []*Spec {
 			Name: "sendto", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "len", Kind: ArgSize, Domain: 1 << 15}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
 				l.Crit(pipeLock(ctx, fd.Inode), us(1.2)) // unix socket buffer lock
@@ -251,7 +251,7 @@ func ipcSpecs() []*Spec {
 			Name: "recvfrom", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "len", Kind: ArgSize, Domain: 1 << 15}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				if ctx.rng().Bool(0.3) {
 					ctx.cover(1)
@@ -268,7 +268,7 @@ func ipcSpecs() []*Spec {
 		{
 			Name: "signalfd4", Cats: CatIPC | CatProc, Returns: ResFD,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(1))
 				fd := ctx.Proc.AddFD(FDEventFD)
@@ -278,7 +278,7 @@ func ipcSpecs() []*Spec {
 		{
 			Name: "timerfd_create", Cats: CatIPC | CatProc, Returns: ResFD,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(1))
 				fd := ctx.Proc.AddFD(FDTimer)
@@ -289,7 +289,7 @@ func ipcSpecs() []*Spec {
 			Name: "timerfd_settime", Cats: CatIPC | CatProc,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(rqLock(ctx), us(1.1)) // timer wheel on this CPU
 				return l.Ops(), 0
@@ -299,10 +299,10 @@ func ipcSpecs() []*Spec {
 			Name: "mq_open", Cats: CatIPC, Returns: ResFD, Weight: 0.7,
 			Args: []ArgSpec{{Name: "name", Kind: ArgPath, Domain: 32}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(kernel.LockIPC, us(0.8))
-				dentryMutate(ctx, &l, args[0], us(1.2)) // mqueue fs dentry
+				dentryMutate(ctx, l, args[0], us(1.2)) // mqueue fs dentry
 				fd := ctx.Proc.AddFD(FDFile)
 				return l.Ops(), uint64(fd)
 			},
@@ -311,7 +311,7 @@ func ipcSpecs() []*Spec {
 			Name: "mq_timedsend", Cats: CatIPC, Weight: 0.7,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "len", Kind: ArgSize, Domain: 1 << 12}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(ipcObjLock(ctx, args[0]), us(1.6))
 				l.Compute(copyCost(args[1]))
@@ -322,7 +322,7 @@ func ipcSpecs() []*Spec {
 			Name: "mq_timedreceive", Cats: CatIPC, Weight: 0.7,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if ctx.rng().Bool(0.4) {
 					ctx.cover(1)
 					l.Crit(ipcObjLock(ctx, args[0]), us(1.3))

@@ -17,9 +17,9 @@ func netSpecs() []*Spec {
 			Name: "socket", Cats: CatIPC | CatFileIO, Returns: ResFD,
 			Args: []ArgSpec{{Name: "domain", Kind: ArgConst, Domain: 4}, {Name: "type", Kind: ArgConst, Domain: 4}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
-				pageAlloc(ctx, &l, us(1.3), 2) // sock + sk_buff head
+				pageAlloc(ctx, l, us(1.3), 2) // sock + sk_buff head
 				l.Compute(us(0.8))
 				fd := ctx.Proc.AddFD(FDSocket)
 				return l.Ops(), uint64(fd)
@@ -29,7 +29,7 @@ func netSpecs() []*Spec {
 			Name: "bind", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "port", Kind: ArgConst, Domain: 1 << 10}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				// The bind hash table is global, but buckets shard by port.
 				ctx.cover(1)
 				l.Crit(pipeLock(ctx, args[1]^0xb1d), us(1.2))
@@ -40,7 +40,7 @@ func netSpecs() []*Spec {
 			Name: "listen", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "backlog", Kind: ArgConst, Domain: 128}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
 				l.Crit(pipeLock(ctx, fd.Inode), us(0.9))
@@ -51,7 +51,7 @@ func netSpecs() []*Spec {
 			Name: "connect", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "port", Kind: ArgConst, Domain: 1 << 10}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				// Ephemeral port allocation walks a shared bitmap.
 				ctx.cover(1)
@@ -69,7 +69,7 @@ func netSpecs() []*Spec {
 			Name: "accept4", Cats: CatIPC | CatFileIO, Returns: ResFD,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				if ctx.rng().Bool(0.4) {
 					// Queue empty: block until a connection (timeout tick).
@@ -80,7 +80,7 @@ func netSpecs() []*Spec {
 				}
 				ctx.cover(2)
 				l.Crit(pipeLock(ctx, fd.Inode), us(1.2))
-				pageAlloc(ctx, &l, us(1.1), 3) // child sock
+				pageAlloc(ctx, l, us(1.1), 3) // child sock
 				nfd := ctx.Proc.AddFD(FDSocket)
 				return l.Ops(), uint64(nfd)
 			},
@@ -89,10 +89,10 @@ func netSpecs() []*Spec {
 			Name: "sendmsg", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "len", Kind: ArgSize, Domain: 1 << 15}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
-				pageAlloc(ctx, &l, us(0.6), 2) // skb
+				pageAlloc(ctx, l, us(0.6), 2) // skb
 				l.Crit(pipeLock(ctx, fd.Inode), us(1.1))
 				l.Compute(copyCost(args[1]))
 				return l.Ops(), 0
@@ -102,7 +102,7 @@ func netSpecs() []*Spec {
 			Name: "recvmsg", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "len", Kind: ArgSize, Domain: 1 << 15}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				if ctx.rng().Bool(0.3) {
 					ctx.cover(1)
@@ -120,7 +120,7 @@ func netSpecs() []*Spec {
 			Name: "shutdown", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "how", Kind: ArgConst, Domain: 3}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				ctx.cover(1)
 				l.Crit(pipeLock(ctx, fd.Inode), us(0.9))
@@ -131,7 +131,7 @@ func netSpecs() []*Spec {
 			Name: "getsockopt", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "opt", Kind: ArgConst, Domain: 32}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.6))
 				return l.Ops(), 0
@@ -141,13 +141,13 @@ func netSpecs() []*Spec {
 			Name: "setsockopt", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}, {Name: "opt", Kind: ArgConst, Domain: 32}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				fd, _ := ctx.Proc.LookupFD(args[0])
 				if args[1]%32 == 7 {
 					// SO_RCVBUF-style: resizes buffers.
 					ctx.cover(1)
 					l.Crit(pipeLock(ctx, fd.Inode), us(1.0))
-					pageAlloc(ctx, &l, us(0.8), 2)
+					pageAlloc(ctx, l, us(0.8), 2)
 				} else {
 					ctx.cover(4)
 					l.Crit(pipeLock(ctx, fd.Inode), us(0.7))
@@ -159,7 +159,7 @@ func netSpecs() []*Spec {
 			Name: "getsockname", Cats: CatIPC,
 			Args: []ArgSpec{{Name: "fd", Kind: ArgFD}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.5))
 				return l.Ops(), 0
@@ -169,7 +169,7 @@ func netSpecs() []*Spec {
 			Name: "poll", Cats: CatIPC | CatFileIO,
 			Args: []ArgSpec{{Name: "nfds", Kind: ArgConst, Domain: 16}, {Name: "timeout_us", Kind: ArgMicros, Domain: 100}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				nfds := args[0]%16 + 1
 				l.Compute(us(0.3 + 0.15*float64(nfds)))
 				if args[1] > 0 && ctx.rng().Bool(0.4) {
@@ -185,7 +185,7 @@ func netSpecs() []*Spec {
 			Name: "select", Cats: CatIPC | CatFileIO,
 			Args: []ArgSpec{{Name: "nfds", Kind: ArgConst, Domain: 64}, {Name: "timeout_us", Kind: ArgMicros, Domain: 100}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				l.Compute(us(0.4 + 0.02*float64(args[0]%64)))
 				if args[1] > 0 && ctx.rng().Bool(0.4) {
 					ctx.cover(1)
@@ -200,7 +200,7 @@ func netSpecs() []*Spec {
 			Name: "ppoll", Cats: CatIPC | CatFileIO,
 			Args: []ArgSpec{{Name: "nfds", Kind: ArgConst, Domain: 16}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.5 + 0.15*float64(args[0]%16)))
 				return l.Ops(), 0
@@ -212,7 +212,7 @@ func netSpecs() []*Spec {
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
 				// A combined write+read over a socketpair: stresses the
 				// same buffer lock twice with a softirq-like bounce.
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				pair := ctx.Proc.AddFD(FDSocket)
 				l.Crit(pipeLock(ctx, uint64(pair)), us(1.0))

@@ -15,7 +15,7 @@ func permSpecs() []*Spec {
 		return &Spec{
 			Name: name, Cats: CatPerm,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(cost))
 				return l.Ops(), 0
@@ -27,7 +27,7 @@ func permSpecs() []*Spec {
 			Name: name, Cats: CatPerm,
 			Args: []ArgSpec{{Name: "id", Kind: ArgUID, Domain: 1 << 10}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if args[0] == ctx.Proc.UID {
 					// No credential change: cheap path, no audit.
 					ctx.cover(1)
@@ -35,8 +35,8 @@ func permSpecs() []*Spec {
 					return l.Ops(), 0
 				}
 				ctx.cover(2)
-				auditRecord(ctx, &l, us(auditHold), 3)
-				credCommit(ctx, &l, 4)
+				auditRecord(ctx, l, us(auditHold), 3)
+				credCommit(ctx, l, 4)
 				ctx.Proc.UID = args[0]
 				return l.Ops(), 0
 			},
@@ -54,7 +54,7 @@ func permSpecs() []*Spec {
 		{
 			Name: "capget", Cats: CatPerm,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.7))
 				return l.Ops(), 0
@@ -64,15 +64,15 @@ func permSpecs() []*Spec {
 			Name: "capset", Cats: CatPerm,
 			Args: []ArgSpec{{Name: "caps", Kind: ArgFlags, Domain: 1 << 16}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if args[0] == ctx.Proc.Caps {
 					ctx.cover(1)
 					l.Compute(us(0.9))
 					return l.Ops(), 0
 				}
 				ctx.cover(2)
-				auditRecord(ctx, &l, us(20), 3)
-				credCommit(ctx, &l, 4)
+				auditRecord(ctx, l, us(20), 3)
+				credCommit(ctx, l, 4)
 				ctx.Proc.Caps = args[0]
 				return l.Ops(), 0
 			},
@@ -81,11 +81,11 @@ func permSpecs() []*Spec {
 			Name: "prctl", Cats: CatPerm | CatProc,
 			Args: []ArgSpec{{Name: "op", Kind: ArgConst, Domain: 16}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if args[0]%16 == 9 {
 					// PR_SET_SECCOMP-style: credential-affecting.
 					ctx.cover(1)
-					auditRecord(ctx, &l, us(12), 2)
+					auditRecord(ctx, l, us(12), 2)
 					l.Crit(kernel.LockCred, us(1.5))
 				} else {
 					ctx.cover(3)
@@ -98,7 +98,7 @@ func permSpecs() []*Spec {
 			Name: "umask", Cats: CatPerm,
 			Args: []ArgSpec{{Name: "mask", Kind: ArgMode, Domain: 1 << 9}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.3))
 				ctx.Proc.Umask = args[0]
@@ -108,7 +108,7 @@ func permSpecs() []*Spec {
 		{
 			Name: "getgroups", Cats: CatPerm,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.5))
 				return l.Ops(), 0
@@ -118,11 +118,11 @@ func permSpecs() []*Spec {
 			Name: "setgroups", Cats: CatPerm, Weight: 0.8,
 			Args: []ArgSpec{{Name: "n", Kind: ArgConst, Domain: 32}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
-				pageAlloc(ctx, &l, us(0.8), 4) // group_info alloc
-				auditRecord(ctx, &l, us(16), 2)
-				credCommit(ctx, &l, 3)
+				pageAlloc(ctx, l, us(0.8), 4) // group_info alloc
+				auditRecord(ctx, l, us(16), 2)
+				credCommit(ctx, l, 3)
 				return l.Ops(), 0
 			},
 		},
@@ -130,11 +130,11 @@ func permSpecs() []*Spec {
 			Name: "seccomp", Cats: CatPerm, Weight: 0.7,
 			Args: []ArgSpec{{Name: "flags", Kind: ArgFlags, Domain: 4}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(2.5)) // filter validation
 				l.Crit(kernel.LockCred, us(1.8))
-				auditRecord(ctx, &l, us(13), 2)
+				auditRecord(ctx, l, us(13), 2)
 				return l.Ops(), 0
 			},
 		},
@@ -142,11 +142,11 @@ func permSpecs() []*Spec {
 			Name: "add_key", Cats: CatPerm, Weight: 0.7,
 			Args: []ArgSpec{{Name: "len", Kind: ArgSize, Domain: 1 << 12}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
-				pageAlloc(ctx, &l, us(1), 3)
+				pageAlloc(ctx, l, us(1), 3)
 				l.Crit(kernel.LockCred, us(2.4))
-				auditRecord(ctx, &l, us(14), 2)
+				auditRecord(ctx, l, us(14), 2)
 				l.Compute(copyCost(args[0]))
 				return l.Ops(), 0
 			},
@@ -155,11 +155,11 @@ func permSpecs() []*Spec {
 			Name: "keyctl", Cats: CatPerm, Weight: 0.7,
 			Args: []ArgSpec{{Name: "op", Kind: ArgConst, Domain: 8}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if args[0]%8 < 2 {
 					ctx.cover(1)
 					l.Crit(kernel.LockCred, us(2))
-					auditRecord(ctx, &l, us(13), 2)
+					auditRecord(ctx, l, us(13), 2)
 				} else {
 					ctx.cover(3)
 					l.Crit(kernel.LockCred, us(1.2))
@@ -171,9 +171,9 @@ func permSpecs() []*Spec {
 			Name: "setfsuid", Cats: CatPerm,
 			Args: []ArgSpec{{Name: "uid", Kind: ArgUID, Domain: 1 << 10}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
-				auditRecord(ctx, &l, us(10), 2)
+				auditRecord(ctx, l, us(10), 2)
 				l.Crit(kernel.LockCred, us(1.2))
 				return l.Ops(), 0
 			},

@@ -13,7 +13,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "getpid", Cats: CatProc, Weight: 2.2,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.25))
 				return l.Ops(), 0
@@ -22,7 +22,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "getppid", Cats: CatProc, Weight: 1.6,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.25))
 				return l.Ops(), 0
@@ -31,7 +31,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "gettid", Cats: CatProc, Weight: 1.6,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.22))
 				return l.Ops(), 0
@@ -40,7 +40,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "sched_yield", Cats: CatProc, Weight: 1.8,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(rqLock(ctx), us(0.5))
 				return l.Ops(), 0
@@ -49,12 +49,12 @@ func procSpecs() []*Spec {
 		{
 			Name: "fork", Cats: CatProc | CatMem, Weight: 0.45,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				// Duplicate the mm: page-table copy under mmap_sem.
 				l.MMapRead(us(12) + 4*vmaWalk(ctx.Proc.VMAs))
 				// Allocate task struct and stack.
-				pageAlloc(ctx, &l, us(3.5), 3)
+				pageAlloc(ctx, l, us(3.5), 3)
 				// PID allocation and tasklist insertion are globally
 				// serialized.
 				l.Crit(kernel.LockPIDMap, us(0.8))
@@ -72,9 +72,9 @@ func procSpecs() []*Spec {
 		{
 			Name: "vfork", Cats: CatProc, Weight: 0.5,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
-				pageAlloc(ctx, &l, us(3), 2)
+				pageAlloc(ctx, l, us(3), 2)
 				l.Crit(kernel.LockPIDMap, us(0.8))
 				l.Crit(kernel.LockTasklist, us(1.0))
 				ctx.Proc.Children++
@@ -85,7 +85,7 @@ func procSpecs() []*Spec {
 			Name: "clone", Cats: CatProc, Weight: 0.5,
 			Args: []ArgSpec{{Name: "flags", Kind: ArgFlags, Domain: 1 << 8}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				const cloneVM = 0x100
 				if args[0]&cloneVM != 0 {
 					// Thread: shares the mm, no page-table copy.
@@ -95,7 +95,7 @@ func procSpecs() []*Spec {
 					ctx.cover(2)
 					l.MMapRead(us(10) + 4*vmaWalk(ctx.Proc.VMAs))
 				}
-				pageAlloc(ctx, &l, us(3), 3)
+				pageAlloc(ctx, l, us(3), 3)
 				l.Crit(kernel.LockPIDMap, us(0.8))
 				l.Crit(kernel.LockTasklist, us(1.1))
 				l.Crit(rqLock(ctx), us(1))
@@ -107,11 +107,11 @@ func procSpecs() []*Spec {
 			Name: "execve", Cats: CatProc | CatFS, Weight: 0.5,
 			Args: []ArgSpec{{Name: "path", Kind: ArgPath, Domain: 64}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
-				pathLookup(ctx, &l, args[0], 1)
+				l := ctx.list()
+				pathLookup(ctx, l, args[0], 1)
 				// Tear down the old mm and map the new image.
 				l.MMapWrite(us(18))
-				pageAlloc(ctx, &l, us(4), 5)
+				pageAlloc(ctx, l, us(4), 5)
 				if ctx.rng().Bool(0.15) {
 					ctx.cover(4)
 					l.BlockIO(0) // cold text pages
@@ -124,7 +124,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "wait4", Cats: CatProc,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if ctx.Proc.Children == 0 {
 					ctx.cover(1)
 					l.Compute(us(0.6)) // ECHILD fast path
@@ -142,7 +142,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "waitid", Cats: CatProc,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				if ctx.Proc.Children == 0 {
 					ctx.cover(1)
 					l.Compute(us(0.6))
@@ -160,7 +160,7 @@ func procSpecs() []*Spec {
 			Name: "kill", Cats: CatProc,
 			Args: []ArgSpec{{Name: "pid", Kind: ArgPID, Domain: 128}, {Name: "sig", Kind: ArgSig, Domain: 32}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(kernel.LockTasklist, us(1.0))
 				if args[1] != 0 {
@@ -174,7 +174,7 @@ func procSpecs() []*Spec {
 			Name: "tgkill", Cats: CatProc,
 			Args: []ArgSpec{{Name: "tid", Kind: ArgPID, Domain: 128}, {Name: "sig", Kind: ArgSig, Domain: 32}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(kernel.LockTasklist, us(0.8))
 				l.Compute(us(0.8))
@@ -185,7 +185,7 @@ func procSpecs() []*Spec {
 			Name: "rt_sigaction", Cats: CatProc, Weight: 1.7,
 			Args: []ArgSpec{{Name: "sig", Kind: ArgSig, Domain: 64}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.7))
 				return l.Ops(), 0
@@ -194,7 +194,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "rt_sigprocmask", Cats: CatProc, Weight: 1.7,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.4))
 				return l.Ops(), 0
@@ -203,7 +203,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "rt_sigpending", Cats: CatProc,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.4))
 				return l.Ops(), 0
@@ -212,7 +212,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "sched_getaffinity", Cats: CatProc,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.8))
 				return l.Ops(), 0
@@ -222,7 +222,7 @@ func procSpecs() []*Spec {
 			Name: "sched_setaffinity", Cats: CatProc,
 			Args: []ArgSpec{{Name: "mask", Kind: ArgFlags, Domain: 1 << 16}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(kernel.LockLoadBalance, us(0.9))
 				l.Crit(rqLock(ctx), us(1.2))
@@ -238,7 +238,7 @@ func procSpecs() []*Spec {
 			Name: "sched_setscheduler", Cats: CatProc,
 			Args: []ArgSpec{{Name: "policy", Kind: ArgConst, Domain: 8}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(rqLock(ctx), us(2))
 				l.Crit(kernel.LockLoadBalance, us(1.2))
@@ -248,7 +248,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "sched_getparam", Cats: CatProc,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(rqLock(ctx), us(0.7))
 				return l.Ops(), 0
@@ -258,7 +258,7 @@ func procSpecs() []*Spec {
 			Name: "setpriority", Cats: CatProc,
 			Args: []ArgSpec{{Name: "nice", Kind: ArgConst, Domain: 40}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(rqLock(ctx), us(1.1))
 				return l.Ops(), 0
@@ -267,7 +267,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "getpriority", Cats: CatProc,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(kernel.LockTasklist, us(0.6))
 				return l.Ops(), 0
@@ -277,7 +277,7 @@ func procSpecs() []*Spec {
 			Name: "nanosleep", Cats: CatProc,
 			Args: []ArgSpec{{Name: "usec", Kind: ArgMicros, Domain: 250}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.6))
 				l.Sleep(us(float64(args[0] % 250)))
@@ -287,7 +287,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "getrusage", Cats: CatProc,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(kernel.LockTasklist, us(0.9))
 				return l.Ops(), 0
@@ -296,7 +296,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "times", Cats: CatProc,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.9))
 				return l.Ops(), 0
@@ -306,7 +306,7 @@ func procSpecs() []*Spec {
 			Name: "prlimit64", Cats: CatProc,
 			Args: []ArgSpec{{Name: "res", Kind: ArgConst, Domain: 16}},
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Crit(kernel.LockTasklist, us(0.7))
 				return l.Ops(), 0
@@ -315,7 +315,7 @@ func procSpecs() []*Spec {
 		{
 			Name: "personality", Cats: CatProc,
 			compile: func(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
-				var l kernel.OpList
+				l := ctx.list()
 				ctx.cover(1)
 				l.Compute(us(0.3))
 				return l.Ops(), 0

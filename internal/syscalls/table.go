@@ -88,7 +88,8 @@ func withWeight(s *Spec, w float64) *Spec {
 // Missing arguments are zero-filled, extras are ignored, and every argument
 // is reduced into its declared generation domain so that arbitrary raw
 // values (from mutation or adversarial corpuses) cannot produce
-// out-of-model costs.
+// out-of-model costs. The returned ops are the caller's own: later
+// compilations on ctx do not touch them.
 func (s *Spec) Compile(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
 	ctx.callID = s.id
 	full := make([]uint64, len(s.Args))
@@ -96,7 +97,8 @@ func (s *Spec) Compile(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
 	for i, a := range s.Args {
 		full[i] %= a.GenDomain()
 	}
-	return s.compile(ctx, full)
+	ops, ret := s.compile(ctx, full)
+	return append([]kernel.Op(nil), ops...), ret
 }
 
 // CompilePrepared invokes the spec's compiler with an argument slice the
@@ -105,6 +107,11 @@ func (s *Spec) Compile(ctx *Ctx, args []uint64) ([]kernel.Op, uint64) {
 // behind corpus.Compile, which plans that materialization once per program;
 // Compile remains the forgiving entry point for raw argument lists. The
 // slice is borrowed only for the duration of the call.
+//
+// The returned ops are borrowed from ctx's op-list arena: they stay valid
+// until the next compilation on the same ctx, which overwrites them. A
+// caller that submits them as a kernel.Task's Ops must therefore not
+// compile on ctx again before that task's OnDone has fired.
 func (s *Spec) CompilePrepared(ctx *Ctx, full []uint64) ([]kernel.Op, uint64) {
 	if len(full) != len(s.Args) {
 		panic(fmt.Sprintf("syscalls: %s: prepared args len %d, want %d", s.Name, len(full), len(s.Args)))

@@ -312,61 +312,72 @@ func Run(env *platform.Environment, c *corpus.Corpus, opts Options) *Result {
 	}
 	total := opts.Warmup + opts.Iterations
 
-	// One persistent runner per core: the replay arenas and continuation
-	// closures warm up once and are reused by every iteration. ResetProc
-	// before each program run reproduces exactly the fresh-process state a
-	// newly built runner would have, so results stay bit-identical.
-	runners := make([]*corpus.Runner, nCores)
-	for core := 0; core < nCores; core++ {
-		ref := env.Core(core)
-		runners[core] = corpus.NewRunner(env.Eng, ref.Kernel, ref.Core, tab)
-		// The tenant behind a global core index is the same workload in
-		// every environment — only the kernel boundary around it moves —
-		// which is what makes isolation scores comparable across the sweep.
-		runners[core].Tenant = core
-	}
-
 	// Each core walks the same schedule: for each program, for each
 	// iteration: barrier; run program; continue. Barriers keep the cores in
 	// lockstep, so a single (program, iteration) cursor per core suffices.
-	var launch func(core, prog, iter int)
-	launch = func(core, prog, iter int) {
-		if prog >= len(c.Programs) {
+	// advance moves a cursor to its next scheduled run and arrives at the
+	// barrier for it, or retires the core when its schedule is done.
+	advance := func(cur *cursor) {
+		for cur.prog < len(c.Programs) && cur.iter >= total {
+			cur.prog, cur.iter = cur.prog+1, 0
+		}
+		if cur.prog >= len(c.Programs) {
 			coresLeft--
 			if coresLeft == 0 && faultRt != nil {
 				faultRt.Stop()
 			}
 			return
 		}
-		if iter >= total {
-			launch(core, prog+1, 0)
-			return
-		}
-		barrier.Arrive(func() {
-			r := runners[core]
-			r.ResetProc()
-			if opts.Trace != nil {
-				pi := prog
-				r.Label = func(call int, name string) string {
-					return SiteLabel(pi, call, name)
-				}
-			}
-			record := iter >= opts.Warmup
-			base := siteBase[prog]
-			r.RunCompiled(compiled[prog],
-				func(i int, lat sim.Time) {
-					if record {
-						res.Sites[base+i].Sample.Add(lat.Micros())
-					}
-				},
-				func() { launch(core, prog, iter+1) })
-		})
+		barrier.Arrive(cur.run)
 	}
-	for core := 0; core < nCores; core++ {
-		launch(core, 0, 0)
+	// Each cursor owns one persistent runner, whose replay arenas and
+	// continuations warm up once and serve every iteration (ResetProc
+	// before each run reproduces exactly the fresh-process state a newly
+	// built runner would have, so results stay bit-identical), and builds
+	// its closures once rather than per (program, iteration).
+	cursors := make([]*cursor, nCores)
+	for core := range cursors {
+		ref := env.Core(core)
+		cur := &cursor{r: corpus.NewRunner(env.Eng, ref.Kernel, ref.Core, tab)}
+		// The tenant behind a global core index is the same workload in
+		// every environment — only the kernel boundary around it moves —
+		// which is what makes isolation scores comparable across the sweep.
+		cur.r.Tenant = core
+		if opts.Trace != nil {
+			cur.r.Label = func(call int, name string) string {
+				return SiteLabel(cur.prog, call, name)
+			}
+		}
+		cur.run = func() {
+			cur.r.ResetProc()
+			cur.r.RunCompiled(compiled[cur.prog], cur.record, cur.next)
+		}
+		cur.record = func(i int, lat sim.Time) {
+			if cur.iter >= opts.Warmup {
+				res.Sites[siteBase[cur.prog]+i].Sample.Add(lat.Micros())
+			}
+		}
+		cur.next = func() {
+			cur.iter++
+			advance(cur)
+		}
+		cursors[core] = cur
+	}
+	for _, cur := range cursors {
+		advance(cur)
 	}
 	env.Eng.Run()
 	return res
+}
+
+// cursor is one core's position in the varbench schedule — program prog,
+// iteration iter — with its runner and the closures that advance it.
+type cursor struct {
+	r          *corpus.Runner
+	prog, iter int
+	run        func()                    // barrier release: run program prog once
+	record     func(i int, lat sim.Time) // per-call latency sink
+	next       func()                    // program done: step to the next iteration
 }
 
 // MedianBreakdown returns the Table 2-style decade breakdown of per-site
