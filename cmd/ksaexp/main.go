@@ -48,6 +48,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -176,45 +177,64 @@ func main() {
 	}
 
 	for _, e := range sel.local() {
-		t0 := time.Now()
-		ev0 := ksa.EventsExecuted()
-		var c0 ksa.CacheStats
-		if cache != nil {
-			c0 = cache.Stats()
+		if err := runExperiment(os.Stdout, e, sc, *faultName, *csvDir, *strictProfile); err != nil {
+			fmt.Fprintln(os.Stderr, "ksaexp:", err)
+			os.Exit(1)
 		}
-		peak := peakHeap(func() {
-			res, err := e.Run(context.Background(), sc, *faultName)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ksaexp: %s: %v\n", e.Name, err)
-				os.Exit(1)
-			}
-			fmt.Println(res.Render())
-			if r, ok := res.(interface{ CSV() string }); ok && *csvDir != "" {
-				writeCSV(*csvDir, e.Name, r.CSV())
-			}
-			if r, ok := res.(ksa.SpecializeResult); ok && *strictProfile && r.MeasuredFaults > 0 {
-				fmt.Fprintf(os.Stderr, "ksaexp: -strict-profile: %d in-profile call(s) faulted on the specialized kernel\n",
-					r.MeasuredFaults)
-				os.Exit(1)
-			}
-		})
-		wall := time.Since(t0)
-		ev := ksa.EventsExecuted() - ev0
-		if ev > 0 && wall > 0 {
-			fmt.Printf("[%s finished in %v — %.2fM events, %.2fM events/sec, peak heap %.1f MiB]\n",
-				e.Name, wall.Round(time.Millisecond),
-				float64(ev)/1e6, float64(ev)/wall.Seconds()/1e6, float64(peak)/(1<<20))
-		} else {
-			fmt.Printf("[%s finished in %v — peak heap %.1f MiB]\n",
-				e.Name, wall.Round(time.Millisecond), float64(peak)/(1<<20))
-		}
-		if cache != nil {
-			if d := cache.Stats().Sub(c0); d.Lookups() > 0 {
-				fmt.Printf("[%s cache: %s]\n", e.Name, d)
-			}
-		}
-		fmt.Println()
 	}
+}
+
+// runExperiment runs one experiment of the local run list and prints its
+// rendered output to w, followed by the "[...]" lines that report its wall
+// time, events, peak heap and cache traffic, and a blank line. A result
+// with a CSV series is also written into csvDir when that is set. It
+// returns the experiment's error, a failed CSV write, or, under
+// strictProfile, a specialized kernel's in-profile faults.
+func runExperiment(w io.Writer, e ksa.Experiment, sc ksa.Scale, faultName, csvDir string, strictProfile bool) error {
+	t0 := time.Now()
+	ev0 := ksa.EventsExecuted()
+	var c0 ksa.CacheStats
+	if sc.Cache != nil {
+		c0 = sc.Cache.Stats()
+	}
+	var err error
+	peak := peakHeap(func() {
+		var res ksa.ExperimentResult
+		if res, err = e.Run(context.Background(), sc, faultName); err != nil {
+			err = fmt.Errorf("%s: %w", e.Name, err)
+			return
+		}
+		fmt.Fprintln(w, res.Render())
+		if r, ok := res.(interface{ CSV() string }); ok && csvDir != "" {
+			if err = writeCSV(csvDir, e.Name, r.CSV()); err != nil {
+				return
+			}
+		}
+		if r, ok := res.(ksa.SpecializeResult); ok && strictProfile && r.MeasuredFaults > 0 {
+			err = fmt.Errorf("-strict-profile: %d in-profile call(s) faulted on the specialized kernel",
+				r.MeasuredFaults)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	wall := time.Since(t0)
+	ev := ksa.EventsExecuted() - ev0
+	if ev > 0 && wall > 0 {
+		fmt.Fprintf(w, "[%s finished in %v — %.2fM events, %.2fM events/sec, peak heap %.1f MiB]\n",
+			e.Name, wall.Round(time.Millisecond),
+			float64(ev)/1e6, float64(ev)/wall.Seconds()/1e6, float64(peak)/(1<<20))
+	} else {
+		fmt.Fprintf(w, "[%s finished in %v — peak heap %.1f MiB]\n",
+			e.Name, wall.Round(time.Millisecond), float64(peak)/(1<<20))
+	}
+	if sc.Cache != nil {
+		if d := sc.Cache.Stats().Sub(c0); d.Lookups() > 0 {
+			fmt.Fprintf(w, "[%s cache: %s]\n", e.Name, d)
+		}
+	}
+	fmt.Fprintln(w)
+	return nil
 }
 
 // selection is what -exp and -trace ask for.
@@ -303,13 +323,13 @@ func expUsage() string {
 }
 
 // writeCSV writes an experiment's CSV series into dir as <name>.csv.
-func writeCSV(dir, name, csv string) {
+func writeCSV(dir, name, csv string) error {
 	path := filepath.Join(dir, name+".csv")
 	if err := os.WriteFile(path, []byte(csv), 0o666); err != nil {
-		fmt.Fprintln(os.Stderr, "ksaexp:", err)
-		return
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "ksaexp: wrote %s\n", path)
+	return nil
 }
 
 // peakHeap runs fn while sampling the runtime heap in the background and
