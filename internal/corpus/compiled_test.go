@@ -44,10 +44,10 @@ func runInterpreted(r *Runner, p *Program, perCall func(i int, lat sim.Time), do
 			}
 		}
 		ctx := &syscalls.Ctx{Kern: r.Kern, Core: r.Core, Proc: r.Proc, Cov: r.Cov}
-		ops, ret := spec.Compile(ctx, args)
-		results[i] = ret
+		var l kernel.OpList
+		results[i] = spec.Compile(ctx, &l, args)
 		task := &kernel.Task{
-			Ops:       ops,
+			Ops:       l.Ops(),
 			AddrSpace: r.Proc.MM,
 			OnDone: func(lat sim.Time) {
 				if perCall != nil {

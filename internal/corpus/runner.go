@@ -85,8 +85,11 @@ type compiledRun struct {
 	done    func()
 	i       int
 	ctx     syscalls.Ctx
-	onDone  func(lat sim.Time)
-	next    func()
+	// ops is the op-list arena every call compiles into; the in-flight
+	// task borrows it until its OnDone, after which the next call resets it.
+	ops    kernel.OpList
+	onDone func(lat sim.Time)
+	next   func()
 }
 
 // NewRunner builds a runner with a fresh process on the given core. A nil
@@ -217,9 +220,9 @@ func (cr *compiledRun) exec() {
 		args[ref.arg] = r.results[ref.src] % ref.dom
 	}
 	cr.ctx.Kern, cr.ctx.Core, cr.ctx.Proc, cr.ctx.Cov = r.Kern, r.Core, r.Proc, r.Cov
-	ops, ret := c.spec.CompilePrepared(&cr.ctx, args)
-	r.results[cr.i] = ret
-	t.Ops = ops
+	cr.ops.Reset()
+	r.results[cr.i] = c.spec.CompilePrepared(&cr.ctx, &cr.ops, args)
+	t.Ops = cr.ops.Ops()
 	t.AddrSpace = r.Proc.MM
 	t.OnDone = cr.onDone
 	t.Tenant = r.Tenant

@@ -116,9 +116,10 @@ func coverageOf(p *corpus.Program, tab *syscalls.Table, evalSeed uint64) *Covera
 		Params: kernel.Params{Quiet: true},
 	}, rng.New(evalSeed))
 	cov := NewCoverage()
-	// One Ctx for the whole program, so its op-list arena is reused across
-	// calls; the compiled ops themselves are not needed, only the blocks.
+	// The compiled ops themselves are not needed, only the blocks, so every
+	// call compiles into one scratch list.
 	ctx := &syscalls.Ctx{Kern: k, Core: 0, Proc: syscalls.NewProc(eng), Cov: cov}
+	var scratch kernel.OpList
 	results := make([]uint64, len(p.Calls))
 	var args []uint64
 	for i, call := range p.Calls {
@@ -131,8 +132,8 @@ func coverageOf(p *corpus.Program, tab *syscalls.Table, evalSeed uint64) *Covera
 				args = append(args, a.X)
 			}
 		}
-		_, ret := spec.Compile(ctx, args)
-		results[i] = ret
+		scratch.Reset()
+		results[i] = spec.Compile(ctx, &scratch, args)
 	}
 	return cov
 }

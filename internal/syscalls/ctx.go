@@ -211,10 +211,7 @@ type NopCoverage struct{}
 func (NopCoverage) Hit(uint32) {}
 
 // Ctx carries everything a syscall compilation needs: the target kernel,
-// the issuing core, the process, and the coverage sink. It also owns the
-// op-list arena every compilation on it builds into, so reusing one Ctx
-// across calls makes op-list building allocation-free once the arena has
-// grown to the longest call's length. A Ctx compiles one call at a time.
+// the issuing core, the process, and the coverage sink.
 type Ctx struct {
 	Kern *kernel.Kernel
 	Core int
@@ -223,16 +220,6 @@ type Ctx struct {
 
 	// callID is set by the dispatcher so cover() can build block IDs.
 	callID ID
-	// ops is the op-list arena; list() hands it out emptied.
-	ops kernel.OpList
-}
-
-// list returns the Ctx's op-list arena, emptied, for the call being
-// compiled to append its micro-ops to. The ops it accumulates are valid
-// until the next compilation on this Ctx.
-func (c *Ctx) list() *kernel.OpList {
-	c.ops.Reset()
-	return &c.ops
 }
 
 // cover records that the current call traversed branch b.

@@ -15,6 +15,17 @@ import (
 // journal commit path, the audit log, the tasklist, the IPI bus, the block
 // device — is exactly where the paper finds surface-area-dependent tails.
 
+// computeOnly compiles a call that takes no lock and touches no shared
+// state: one coverage block and cost microseconds on the CPU.
+func computeOnly(cost float64) CompileFunc {
+	d := us(cost)
+	return func(ctx *Ctx, l *kernel.OpList, _ []uint64) uint64 {
+		ctx.cover(1)
+		l.Compute(d)
+		return 0
+	}
+}
+
 // pathLookup models resolving a path: an RCU-walk dcache hit costs only
 // compute; a miss takes the (hashed, salted) dcache shard lock and may go
 // to disk for the inode.

@@ -94,7 +94,7 @@ func TestEverySyscallCompilesAndRuns(t *testing.T) {
 				for i, a := range s.Args {
 					args[i] = (uint64(trial)*2654435761 + uint64(i)*40503) % a.GenDomain()
 				}
-				ops, _ := s.Compile(ctx, args)
+				ops, _ := compileOps(s, ctx, args)
 				completed := false
 				ctx.Kern.Submit(0, &kernel.Task{
 					Ops:       ops,
@@ -119,7 +119,7 @@ func TestCompileBalancedProperty(t *testing.T) {
 	if err := quick.Check(func(id uint16, a, b, c uint64) bool {
 		s := tab.Get(ID(id % uint16(tab.Len())))
 		args := []uint64{a, b, c}
-		ops, _ := s.Compile(ctx, args)
+		ops, _ := compileOps(s, ctx, args)
 		done := false
 		ctx.Kern.Submit(0, &kernel.Task{Ops: ops, AddrSpace: ctx.Proc.MM,
 			OnDone: func(sim.Time) { done = true }})
@@ -137,8 +137,8 @@ func TestCoverageBlocksAreNamespaced(t *testing.T) {
 	ctx.Cov = coverageFunc(func(b uint32) { rec[b] = true })
 	open := Default().Lookup("open")
 	read := Default().Lookup("read")
-	open.Compile(ctx, []uint64{1, 0x40})
-	read.Compile(ctx, []uint64{0, 4096})
+	compileOps(open, ctx, []uint64{1, 0x40})
+	compileOps(read, ctx, []uint64{0, 4096})
 	sawOpen, sawRead := false, false
 	for b := range rec {
 		switch ID(b >> 8) {
@@ -163,7 +163,7 @@ func TestArgsAreZeroFilled(t *testing.T) {
 	ctx, _ := testCtx(t)
 	open := Default().Lookup("open")
 	// Passing no args must not panic.
-	ops, _ := open.Compile(ctx, nil)
+	ops, _ := compileOps(open, ctx, nil)
 	if len(ops) == 0 {
 		t.Fatal("no ops compiled")
 	}
@@ -208,7 +208,7 @@ func TestOpenReturnsUsableFD(t *testing.T) {
 	ctx, eng := testCtx(t)
 	open := Default().Lookup("open")
 	before := ctx.Proc.NumFDs()
-	_, ret := open.Compile(ctx, []uint64{5, 0})
+	_, ret := compileOps(open, ctx, []uint64{5, 0})
 	if int(ret) != before {
 		t.Fatalf("open returned fd %d, want %d", ret, before)
 	}
@@ -222,7 +222,7 @@ func TestMunmapShootdownOnlyWhenMapped(t *testing.T) {
 	ctx, eng := testCtx(t)
 	munmap := Default().Lookup("munmap")
 	// Nothing mapped: no IPI.
-	ops, _ := munmap.Compile(ctx, []uint64{4096})
+	ops, _ := compileOps(munmap, ctx, []uint64{4096})
 	for _, op := range ops {
 		if op.Kind == kernel.OpIPI {
 			t.Fatal("munmap of empty mm issued shootdown")
@@ -230,8 +230,8 @@ func TestMunmapShootdownOnlyWhenMapped(t *testing.T) {
 	}
 	// Map, then unmap: IPI present.
 	mmap := Default().Lookup("mmap")
-	mmap.Compile(ctx, []uint64{4096, 0})
-	ops, _ = munmap.Compile(ctx, []uint64{4096})
+	compileOps(mmap, ctx, []uint64{4096, 0})
+	ops, _ = compileOps(munmap, ctx, []uint64{4096})
 	found := false
 	for _, op := range ops {
 		if op.Kind == kernel.OpIPI {
@@ -247,13 +247,13 @@ func TestMunmapShootdownOnlyWhenMapped(t *testing.T) {
 func TestSetuidFastPathWhenNoChange(t *testing.T) {
 	ctx, _ := testCtx(t)
 	setuid := Default().Lookup("setuid")
-	ops, _ := setuid.Compile(ctx, []uint64{0}) // uid already 0
+	ops, _ := compileOps(setuid, ctx, []uint64{0}) // uid already 0
 	for _, op := range ops {
 		if op.Kind == kernel.OpLock && op.Lock == kernel.LockAudit {
 			t.Fatal("no-op setuid still audited")
 		}
 	}
-	ops, _ = setuid.Compile(ctx, []uint64{42})
+	ops, _ = compileOps(setuid, ctx, []uint64{42})
 	audited := false
 	for _, op := range ops {
 		if op.Kind == kernel.OpLock && op.Lock == kernel.LockAudit {
@@ -300,10 +300,10 @@ func TestMunmapUniprocessorBenefit(t *testing.T) {
 		for c := 0; c < cores; c++ {
 			proc := NewProc(eng)
 			ctx := &Ctx{Kern: k, Core: c, Proc: proc, Cov: NopCoverage{}}
-			mmapOps, _ := Default().Lookup("mmap").Compile(ctx, []uint64{1 << 16, 0})
-			munmapOps, _ := Default().Lookup("munmap").Compile(ctx, []uint64{1 << 16})
-			ops := append(append([]kernel.Op{}, mmapOps...), munmapOps...)
-			k.Submit(c, &kernel.Task{Ops: ops, AddrSpace: proc.MM,
+			var l kernel.OpList
+			Default().Lookup("mmap").Compile(ctx, &l, []uint64{1 << 16, 0})
+			Default().Lookup("munmap").Compile(ctx, &l, []uint64{1 << 16})
+			k.Submit(c, &kernel.Task{Ops: l.Ops(), AddrSpace: proc.MM,
 				OnDone: func(e sim.Time) {
 					if e > worst {
 						worst = e
@@ -325,8 +325,10 @@ func BenchmarkCompileOpen(b *testing.B) {
 	k := kernel.New(eng, kernel.Config{Name: "b", Cores: 1, MemGB: 1, Params: kernel.Params{Quiet: true}}, rng.New(1))
 	ctx := &Ctx{Kern: k, Core: 0, Proc: NewProc(eng), Cov: NopCoverage{}}
 	open := Default().Lookup("open")
+	var l kernel.OpList
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		open.Compile(ctx, []uint64{uint64(i % 64), uint64(i % 1024)})
+		l.Reset()
+		open.Compile(ctx, &l, []uint64{uint64(i % 64), uint64(i % 1024)})
 	}
 }

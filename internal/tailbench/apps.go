@@ -203,8 +203,7 @@ func (a *App) CompileRequest(ctx *syscalls.Ctx, src *rng.Source) []kernel.Op {
 				args[j] = src.Uint64()
 			}
 		}
-		ops, _ := spec.Compile(ctx, args)
-		l.Append(ops...)
+		spec.Compile(ctx, &l, args)
 	}
 	l.UserCompute(service-per*sim.Time(a.SyscallsPerReq), 0)
 	// Disk residency.

@@ -18,10 +18,11 @@ declare -A ceiling=(
 	[BenchmarkVarbenchNative]=3950   # 3764: barrier-synchronized corpus replay, native 64 cores
 	[BenchmarkCompiledProgram]=6     # 5: warmed compiled-program iterations (the first allocates the lock table)
 	[BenchmarkDensitySweep]=43200    # 41146: 3 surfaces x 400 ephemeral tenants
+	[BenchmarkFigure3]=8160000       # 7769500: tailbench requests compiled straight into each request's op list
 )
 
 out=$(go test -run '^$' \
-	-bench 'BenchmarkVarbenchNative$|BenchmarkCompiledProgram$|BenchmarkDensitySweep$' \
+	-bench 'BenchmarkVarbenchNative$|BenchmarkCompiledProgram$|BenchmarkDensitySweep$|BenchmarkFigure3$' \
 	-benchmem -benchtime 3x .)
 echo "$out"
 
