@@ -221,13 +221,6 @@ func (l *OpList) Sleep(d sim.Time) *OpList {
 	return l
 }
 
-// Append splices pre-compiled ops verbatim (used to embed one compiled
-// sequence inside another, e.g. a syscall inside an application request).
-func (l *OpList) Append(ops ...Op) *OpList {
-	l.ops = append(l.ops, ops...)
-	return l
-}
-
 // UserCompute appends user-space work that triggers n VM exits under
 // virtualization but is not subject to kernel compute dilation.
 func (l *OpList) UserCompute(d sim.Time, exits int) *OpList {
